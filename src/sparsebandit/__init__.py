@@ -9,7 +9,6 @@ instances with a hidden-index embedding, and a config-driven CLI that checks
 measured errors and query counts against the analytic bounds.
 """
 
-from ._kernels import BACKEND, HAVE_SPEEDUPS
 from .compressed_elim import (
     compressed_uniform_error,
     corollary_regime_check,
@@ -69,3 +68,6 @@ from .sparse_recovery import (
 )
 
 __version__ = "0.1.0"
+
+# the hot kernels (greedy packing, the violation scan) are plain numpy
+BACKEND = "numpy"

@@ -143,7 +143,6 @@ class BanditInstance:
     rewards: np.ndarray = field(init=False)
     theta_norm_bypassed: bool = False
     orthogonality: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         nu = np.ascontiguousarray(np.asarray(self.misspec, dtype=np.float64))
@@ -232,13 +231,6 @@ def uniform_error(instance: BanditInstance, theta_hat, index_set) -> float:
         raise DimensionMismatchError("index set outside feature dimensions")
     preds = instance.features.matrix[:, idx] @ theta_hat
     return float(np.max(np.abs(instance.rewards - preds)))
-
-
-def predicted_best(instance: BanditInstance, theta_hat, index_set) -> int:
-    """Action maximizing the estimated reward <a_L, theta_hat>; first on ties."""
-    idx = np.asarray(list(index_set), dtype=np.intp)
-    preds = instance.features.matrix[:, idx] @ np.asarray(theta_hat, dtype=np.float64)
-    return int(np.argmax(preds))
 
 
 def random_sparse_instance(d, s, k, epsilon, seed, *, noise=None,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import greedy_pack
 from .errors import GuardExceededError, NormBoundError, ValidationError
 from .model import NORM_TOL
 
@@ -67,6 +66,39 @@ def sphere_pool(s: int, size: int, seed: int) -> np.ndarray:
         pts[bad] = rng.normal(size=(int(bad.sum()), s))
         norms = np.linalg.norm(pts, axis=1)
     return pts / norms[:, None]
+
+
+def greedy_pack(pool, min_sep):
+    """Greedy packing in pool order.
+
+    Walks the candidate rows of ``pool`` in order and accepts a candidate iff
+    its squared Euclidean distance to every previously accepted candidate is
+    >= min_sep**2. Returns the accepted row indices (int64, ascending).
+    """
+    pool = np.ascontiguousarray(pool, dtype=np.float64)
+    m = pool.shape[0]
+    sep2 = min_sep * min_sep
+    accepted = []
+    chunk = 4096
+    for start in range(0, m, chunk):
+        block = pool[start:start + chunk]
+        b = block.shape[0]
+        if accepted:
+            acc = pool[accepted]
+            diff = block[:, None, :] - acc[None, :, :]
+            min_d2 = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
+            blocked = min_d2 < sep2
+        else:
+            blocked = np.zeros(b, dtype=bool)
+        # an accepted candidate blocks its in-block neighbours; acceptances
+        # are rare, so one vector update per accept keeps the loop scalar
+        for i in range(b):
+            if blocked[i]:
+                continue
+            accepted.append(start + i)
+            diff_i = block - block[i]
+            blocked |= np.einsum("ij,ij->i", diff_i, diff_i) < sep2
+    return np.asarray(accepted, dtype=np.int64)
 
 
 def default_pool_size(s: int, epsilon: float) -> int:

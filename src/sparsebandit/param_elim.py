@@ -14,13 +14,11 @@ together, so the survivor state is one flag per (subset, net point) pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from ._kernels import pair_first_violation
 from .errors import EmptySurvivorError, GuardExceededError, ValidationError
 from .model import BanditInstance, FeatureMatrix, QueryLedger, query, uniform_error
 from .net import CoveringNet
@@ -136,6 +134,79 @@ def build_candidate_sets(features: FeatureMatrix, net: CoveringNet,
         projections=np.ascontiguousarray(proj),
         anchors=np.ascontiguousarray(anchors),
     )
+
+
+def pair_first_violation(P, W, alive, m_idx, t_idx, eps):
+    """First violating tuple for the primary family (m_idx, t_idx).
+
+    A tuple (w, mp, tp, x) violates when the action x lies in the primary
+    family's group around anchor w (|P[m_idx,x,t_idx] - W[w,t_idx]| <= eps/2)
+    and the alive rival family (mp, tp) != (m_idx, t_idx) predicts a value
+    more than 5*eps/2 away from the anchor value W[w, t_idx].
+
+    Scan order: w ascending, then rival pairs (mp, tp) lexicographic, then x
+    ascending. Returns (w, mp, tp, x) or None.
+    """
+    n_sub, k, n = P.shape
+    u = P[m_idx, :, t_idx]
+    c = np.ascontiguousarray(W[:, t_idx])
+    h = 0.5 * eps
+    thr = 2.5 * eps
+    near = np.abs(u[None, :] - c[:, None]) <= h        # (n, k)
+    anyw = near.any(axis=0)
+    if not anyw.any():
+        return None
+    c_lo = np.where(near, c[:, None], np.inf).min(axis=0)
+    c_hi = np.where(near, c[:, None], -np.inf).max(axis=0)
+
+    # Phase A: per rival family, candidates (x, tp) admitting some violating
+    # anchor; the deviation over the anchor window is extremal at its ends.
+    wstar = n
+    for mp in range(n_sub):
+        av = alive[mp].astype(bool)
+        if mp == m_idx:
+            av = av.copy()
+            av[t_idx] = False
+        if not av.any():
+            continue
+        V = P[mp]                                      # (k, n)
+        dev = np.maximum(np.abs(V - c_lo[:, None]), np.abs(V - c_hi[:, None]))
+        viol = (dev > thr) & av[None, :] & anyw[:, None]
+        if not viol.any():
+            continue
+        xs, tps = np.nonzero(viol)
+        vals = V[xs, tps]
+        # Phase B: earliest anchor w admitting any candidate of this rival.
+        for lo in range(0, xs.size, 4096):
+            xs_c = xs[lo:lo + 4096]
+            vals_c = vals[lo:lo + 4096]
+            wmask = near[:wstar, xs_c] & (np.abs(vals_c[None, :] - c[:wstar, None]) > thr)
+            hits = wmask.any(axis=1)
+            if hits.any():
+                wstar = int(np.argmax(hits))
+        if wstar == 0:
+            break
+    if wstar >= n:
+        return None
+
+    # Final pass at the winning anchor: first rival pair, then first action.
+    cw = c[wstar]
+    rmask = np.abs(u - cw) <= h                        # (k,)
+    for mp in range(n_sub):
+        av = alive[mp].astype(bool)
+        if mp == m_idx:
+            av = av.copy()
+            av[t_idx] = False
+        if not av.any():
+            continue
+        V = P[mp]
+        mask = rmask[:, None] & av[None, :] & (np.abs(V - cw) > thr)
+        cols = mask.any(axis=0)
+        if cols.any():
+            tp = int(np.argmax(cols))
+            x = int(np.argmax(mask[:, tp]))
+            return (wstar, mp, tp, x)
+    return None
 
 
 def find_violation(candidates: CandidateSets, alive: np.ndarray | None = None):
@@ -261,7 +332,3 @@ def mark_ground_truth(result: ParamElimResult, instance: BanditInstance) -> Para
     result.ground_truth_alive = bool(result.alive[m_idx, t_idx])
     return result
 
-
-def query_budget(net_size: int, d: int, s: int) -> int:
-    """Worst-case query count of the elimination loop: one per killed family."""
-    return net_size * math.comb(d, s)

@@ -62,3 +62,28 @@ def sparse_minimax_oracle(psi, targets, s, tol=1e-9):
     for support in combinations(range(d), s):
         best = min(best, minimax_residual_oracle(psi[:, list(support)], targets, tol))
     return best
+
+
+def greedy_pack_oracle(pool, min_sep):
+    """Greedy packing by its definition: scan the pool in order and accept a
+    point iff its squared distance to every accepted point is >= min_sep**2."""
+    pool = np.asarray(pool, dtype=np.float64)
+    sep2 = min_sep * min_sep
+    accepted = []
+    for i, p in enumerate(pool):
+        if not accepted or (((pool[accepted] - p) ** 2).sum(axis=1) >= sep2).all():
+            accepted.append(i)
+    return np.asarray(accepted, dtype=np.int64)
+
+
+def first_violation_oracle(P, W, alive, m_idx, t_idx, eps):
+    """First violating (w, mp, tp, x) for the primary (m_idx, t_idx), read off
+    the full boolean tensor near[w,x] & rival[mp,tp] & far[w,mp,tp,x], whose
+    argwhere rows come in scan order; None if there is none."""
+    c = W[:, t_idx]
+    near = np.abs(P[m_idx, :, t_idx][None, :] - c[:, None]) <= 0.5 * eps
+    rival = alive.astype(bool)
+    rival[m_idx, t_idx] = False
+    far = np.abs(P.transpose(0, 2, 1)[None] - c[:, None, None, None]) > 2.5 * eps
+    hits = np.argwhere(near[:, None, None, :] & rival[None, :, :, None] & far)
+    return tuple(int(v) for v in hits[0]) if len(hits) else None

@@ -1,30 +1,23 @@
-"""Cross-backend equivalence: compiled extension vs numpy fallback."""
+"""The numpy hot kernels against oracles that follow their definitions."""
 
 import numpy as np
-import pytest
+from helpers import first_violation_oracle, greedy_pack_oracle
 
 from sparsebandit import random_sparse_instance
-from sparsebandit._kernels import HAVE_SPEEDUPS, _fallback
-from sparsebandit.net import sphere_pool
-from sparsebandit.param_elim import build_candidate_sets
-from sparsebandit.net import build_separated_net
-
-speedups = pytest.importorskip("sparsebandit._kernels._speedups",
-                               reason="compiled extension not built")
+from sparsebandit.net import build_separated_net, greedy_pack, sphere_pool
+from sparsebandit.param_elim import build_candidate_sets, pair_first_violation
 
 
-def test_backends_agree_on_greedy_pack():
+def test_greedy_pack_matches_oracle():
     rng = np.random.default_rng(0)
     for s in (1, 2, 3, 6):
         for trial in range(4):
             pool = sphere_pool(s, 4000, seed=trial)
             sep = float(rng.uniform(0.05, 0.8))
-            a = _fallback.greedy_pack(pool, sep)
-            b = speedups.greedy_pack(pool, sep)
-            assert np.array_equal(a, b)
+            assert np.array_equal(greedy_pack(pool, sep), greedy_pack_oracle(pool, sep))
 
 
-def test_backends_agree_on_pair_scan():
+def test_pair_first_violation_matches_oracle():
     rng = np.random.default_rng(1)
     for trial in range(60):
         d = int(rng.integers(3, 6))
@@ -38,12 +31,5 @@ def test_backends_agree_on_pair_scan():
             for t in range(cand.n_net):
                 if not alive[m, t]:
                     continue
-                got_c = speedups.pair_first_violation(
-                    cand.projections, cand.anchors, alive, m, t, cand.epsilon)
-                got_f = _fallback.pair_first_violation(
-                    cand.projections, cand.anchors, alive, m, t, cand.epsilon)
-                assert got_c == got_f
-
-
-def test_compiled_backend_is_selected_when_built():
-    assert HAVE_SPEEDUPS
+                args = (cand.projections, cand.anchors, alive, m, t, cand.epsilon)
+                assert pair_first_violation(*args) == first_violation_oracle(*args)
