@@ -50,15 +50,15 @@ import numpy as np
 
 from .compressed_elim import compressed_uniform_error, run_benign_elimination
 from .compression import build_map
-from .design_elim import run_design_elimination
+from .design_elim import check_subset_guard, run_design_elimination
 from .errors import (
     ConfigError,
     GuardExceededError,
     OverflowGuardError,
     SparseBanditError,
-    ValidationError,
 )
 from .hardness import (
+    PAIRWISE_TOL,
     HardMatrixSpec,
     embed_index_query,
     generate_validated,
@@ -72,11 +72,9 @@ from .model import (
     save_instance,
 )
 from .net import build_separated_net, include_point
-from .param_elim import TRIPLE_GUARD, run_parameter_elimination
-from .sparse_recovery import RECOVERY_GUARD, run_general_features
+from .param_elim import check_triple_guard, run_parameter_elimination
+from .sparse_recovery import run_general_features
 
-ALGORITHMS = ("param-elim", "design-elim", "benign-elim", "general-features",
-              "random-baseline")
 SOURCES = ("random-sparse", "explicit-file", "hard-instance")
 CSV_COLUMNS = ("algorithm", "d", "s", "epsilon", "k", "seed", "queries",
                "uniform_error", "suboptimality", "bound", "bound_satisfied",
@@ -242,145 +240,140 @@ def _net_for(cfg, instance, seed):
 
 
 def check_guards(cfg: ExperimentConfig):
-    """Evaluate every grid point's guard before any query is issued.
+    """Build every algorithm x grid point once and evaluate its guard.
 
-    Returns the list of violations as (point, message); building nets and
-    instances issues no queries, so this phase is side-effect free.
+    Returns (prepared, violations): (algorithm, point, instance, net) in run
+    order (net only for param-elim), and (algorithm, point, message). No
+    query is issued here; the prepared grid stays in memory for the run.
     """
-    violations = []
+    prepared, violations = [], []
     for alg in cfg.algorithms:
         for point in _grid(cfg):
-            d, s, eps, k, delta, seed = point
+            net = None
             try:
+                instance = _build_point_instance(cfg, *point)
                 if alg == "param-elim":
-                    instance = _build_point_instance(cfg, *point)
-                    net = _net_for(cfg, instance, seed)
-                    triples = net.size ** 2 * math.comb(instance.d, net.s)
-                    if triples > TRIPLE_GUARD:
-                        raise GuardExceededError(
-                            f"{triples} candidate triples exceed {TRIPLE_GUARD}")
+                    net = _net_for(cfg, instance, point[-1])
+                    check_triple_guard(instance.d, net)
                 elif alg in ("design-elim", "general-features"):
-                    guard = 10 ** 5 if alg == "design-elim" else RECOVERY_GUARD
-                    if math.comb(d, s) > guard:
-                        raise GuardExceededError(
-                            f"{math.comb(d, s)} subsets exceed {guard}")
-            except GuardExceededError as exc:
+                    check_subset_guard(instance.d, instance.s)
+            except (GuardExceededError, OverflowGuardError) as exc:
                 violations.append((alg, point, str(exc)))
-            except OverflowGuardError as exc:
-                violations.append((alg, point, str(exc)))
-    return violations
+                continue
+            prepared.append((alg, point, instance, net))
+    return prepared, violations
 
 
-def _payload(**kwargs):
-    return ";".join(f"{key}={value}" for key, value in kwargs.items())
+def _payload(**fields):
+    return ";".join(f"{key}={value:.17g}" if isinstance(value, float)
+                    else f"{key}={value}" for key, value in fields.items())
 
 
-def _run_point(cfg, alg, point):
-    d, s, eps, k, delta, seed = point
-    instance = _build_point_instance(cfg, *point)
-    ledger = QueryLedger()
-    t0 = time.perf_counter()
-    nan = float("nan")
-    details = []
+# Runner table: each entry runs one algorithm on a prepared point and returns
+# (uniform error, chosen action, bound, detail rows). Learners are looked up
+# as module globals at call time, so wrappers set on this module see them.
 
-    if alg == "param-elim":
-        net = _net_for(cfg, instance, seed)
-        res = run_parameter_elimination(instance, ledger, net=net)
-        err = res.final_error
-        preds = instance.features.matrix[:, list(res.index_set)] @ res.theta_hat
-        chosen = int(np.argmax(preds))
-        bound = 4.0 * instance.epsilon
-        for e in res.log:
-            details.append(("elimination", e.step, _payload(
-                action=e.action, reward=f"{e.reward:.17g}",
-                anchor=f"{e.anchor_value:.17g}", primary=e.primary,
-                rival=e.rival, killed=e.killed)))
-        details.append(("summary", len(res.log), _payload(
-            triples_initial=res.initial_triples,
-            triples_remaining=res.remaining_triples,
-            queries=res.queries, final_error=f"{err:.17g}")))
-    elif alg == "design-elim":
-        res = run_design_elimination(instance, ledger)
-        err = res.final_error
-        preds = instance.features.matrix[:, list(res.index_set)] @ res.theta_hat
-        chosen = int(np.argmax(preds))
-        bound = 3.0 * instance.epsilon * (1.0 + math.sqrt(2.0 * instance.s))
-        for e in res.log:
-            details.append(("elimination", e.step, _payload(
-                action=e.action, reward=f"{e.reward:.17g}",
-                primary=e.primary, rival=e.rival, killed=e.killed)))
-        details.append(("summary", len(res.log), _payload(
-            queries=res.queries, phase1_queries=res.phase1_queries,
-            final_error=f"{err:.17g}")))
-    elif alg == "benign-elim":
-        cmap = build_map(instance.d, instance.d, 0)
-        budget = cfg.budget if cfg.budget is not None else 50 * instance.k
-        res = run_benign_elimination(instance, cmap, budget, ledger,
-                                     C_const=cfg.c_const)
-        err = compressed_uniform_error(instance, cmap, res.theta_f)
-        frows = cmap.apply(instance.features.matrix)
-        surviving_preds = frows[res.surviving] @ res.theta_f
-        chosen = int(res.surviving[int(np.argmax(surviving_preds))])
-        bound = cfg.kappa * (math.log(instance.k) ** 0.25
-                             * math.sqrt(instance.epsilon) + instance.epsilon)
-        for r in res.log:
-            details.append(("round", r.round, _payload(
-                active_before=r.active_before, active_after=r.active_after,
-                threshold=f"{r.threshold:.17g}",
-                cumulative_queries=r.cumulative_queries)))
-        details.append(("summary", res.rounds, _payload(
-            queries=res.queries, surviving=len(res.surviving),
-            soundness_ok=res.soundness_ok, final_error=f"{err:.17g}")))
-    elif alg == "general-features":
-        res = run_general_features(instance, ledger, c_jl=cfg.c_jl,
-                                   C_const=cfg.c_const, budget=cfg.budget)
-        err = res.final_error
-        preds = instance.features.matrix @ res.theta_hat
-        chosen = int(np.argmax(preds))
-        bound = cfg.kappa * ((instance.s * math.log(instance.d)) ** 0.25
-                             * math.sqrt(instance.s * instance.epsilon)
-                             + instance.epsilon)
-        details.append(("summary", 0, _payload(
-            phi=f"{res.phi:.17g}", q=res.q, psi_rows=res.psi_rows,
-            recovery_objective=f"{res.recovery_objective:.17g}",
-            support="|".join(str(i) for i in res.recovered_support),
-            error=f"{err:.17g}", bound=f"{bound:.17g}",
-            queries=res.queries, map_seed=res.map_seed)))
-    elif alg == "random-baseline":
-        _, chosen = random_search(instance, seed, ledger)
-        err = nan
-        bound = delta
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown algorithm {alg}")
+def _run_param_elim(cfg, point, instance, net, ledger):
+    res = run_parameter_elimination(instance, ledger, net=net)
+    preds = instance.features.matrix[:, list(res.index_set)] @ res.theta_hat
+    details = [("elimination", e.step, _payload(
+        action=e.action, reward=e.reward, anchor=e.anchor_value,
+        primary=e.primary, rival=e.rival, killed=e.killed)) for e in res.log]
+    details.append(("summary", len(res.log), _payload(
+        triples_initial=res.initial_triples,
+        triples_remaining=res.remaining_triples,
+        queries=res.queries, final_error=res.final_error)))
+    return res.final_error, int(np.argmax(preds)), 4.0 * instance.epsilon, details
 
-    wall_ms = int(round((time.perf_counter() - t0) * 1000)) if cfg.measure_time else 0
-    best_reward = float(np.max(instance.rewards))
-    subopt = best_reward - float(instance.rewards[chosen])
-    satisfied = subopt <= bound if alg == "random-baseline" else err <= bound
-    record = RunRecord(
-        algorithm=alg, d=instance.d, s=instance.s, epsilon=instance.epsilon,
-        k=instance.k, seed=seed, queries=len(ledger), uniform_error=err,
-        suboptimality=subopt, bound=bound, bound_satisfied=bool(satisfied),
-        wall_ms=wall_ms)
-    prefix = [alg, instance.d, instance.s, f"{instance.epsilon:.17g}",
-              instance.k, seed]
-    detail_rows = [prefix + [kind, step, payload]
-                   for kind, step, payload in details]
-    return record, detail_rows
+
+def _run_design_elim(cfg, point, instance, net, ledger):
+    res = run_design_elimination(instance, ledger)
+    preds = instance.features.matrix[:, list(res.index_set)] @ res.theta_hat
+    bound = 3.0 * instance.epsilon * (1.0 + math.sqrt(2.0 * instance.s))
+    details = [("elimination", e.step, _payload(
+        action=e.action, reward=e.reward, primary=e.primary, rival=e.rival,
+        killed=e.killed)) for e in res.log]
+    details.append(("summary", len(res.log), _payload(
+        queries=res.queries, phase1_queries=res.phase1_queries,
+        final_error=res.final_error)))
+    return res.final_error, int(np.argmax(preds)), bound, details
+
+
+def _run_benign_elim(cfg, point, instance, net, ledger):
+    cmap = build_map(instance.d, instance.d, 0)
+    budget = cfg.budget if cfg.budget is not None else 50 * instance.k
+    res = run_benign_elimination(instance, cmap, budget, ledger,
+                                 C_const=cfg.c_const)
+    err = compressed_uniform_error(instance, cmap, res.theta_f)
+    preds = cmap.apply(instance.features.matrix)[res.surviving] @ res.theta_f
+    bound = cfg.kappa * (math.log(instance.k) ** 0.25
+                         * math.sqrt(instance.epsilon) + instance.epsilon)
+    details = [("round", r.round, _payload(
+        active_before=r.active_before, active_after=r.active_after,
+        threshold=r.threshold, cumulative_queries=r.cumulative_queries))
+        for r in res.log]
+    details.append(("summary", res.rounds, _payload(
+        queries=res.queries, surviving=len(res.surviving),
+        soundness_ok=res.soundness_ok, final_error=err)))
+    return err, int(res.surviving[int(np.argmax(preds))]), bound, details
+
+
+def _run_general_features(cfg, point, instance, net, ledger):
+    res = run_general_features(instance, ledger, c_jl=cfg.c_jl,
+                               C_const=cfg.c_const, budget=cfg.budget)
+    preds = instance.features.matrix @ res.theta_hat
+    bound = cfg.kappa * ((instance.s * math.log(instance.d)) ** 0.25
+                         * math.sqrt(instance.s * instance.epsilon)
+                         + instance.epsilon)
+    details = [("summary", 0, _payload(
+        phi=res.phi, q=res.q, psi_rows=res.psi_rows,
+        recovery_objective=res.recovery_objective,
+        support="|".join(str(i) for i in res.recovered_support),
+        error=res.final_error, bound=bound, queries=res.queries,
+        map_seed=res.map_seed))]
+    return res.final_error, int(np.argmax(preds)), bound, details
+
+
+def _run_random_baseline(cfg, point, instance, net, ledger):
+    _, chosen = random_search(instance, point[-1], ledger)
+    return float("nan"), chosen, point[4], []   # bound: the reward gap delta
+
+
+RUNNERS = {
+    "param-elim": _run_param_elim,
+    "design-elim": _run_design_elim,
+    "benign-elim": _run_benign_elim,
+    "general-features": _run_general_features,
+    "random-baseline": _run_random_baseline,
+}
+ALGORITHMS = tuple(RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Execute every grid point for every algorithm; guard check first."""
-    violations = check_guards(cfg)
+    """Prepare every grid point for every algorithm, then run them in order;
+    a guard violation anywhere refuses the grid before any query."""
+    prepared, violations = check_guards(cfg)
     if violations:
         lines = [f"{alg} {point}: {msg}" for alg, point, msg in violations]
         raise GuardExceededError("guard violations:\n" + "\n".join(lines))
     records, details = [], []
-    for alg in cfg.algorithms:
-        for point in _grid(cfg):
-            record, detail_rows = _run_point(cfg, alg, point)
-            records.append(record)
-            details.extend(detail_rows)
+    for alg, point, instance, net in prepared:
+        seed = point[-1]
+        ledger = QueryLedger()
+        t0 = time.perf_counter()
+        err, chosen, bound, rows = RUNNERS[alg](cfg, point, instance, net, ledger)
+        wall_ms = int(round((time.perf_counter() - t0) * 1000)) if cfg.measure_time else 0
+        subopt = float(np.max(instance.rewards)) - float(instance.rewards[chosen])
+        # the baseline keeps no estimate, so its bound is on the suboptimality
+        satisfied = subopt <= bound if alg == "random-baseline" else err <= bound
+        records.append(RunRecord(
+            algorithm=alg, d=instance.d, s=instance.s, epsilon=instance.epsilon,
+            k=instance.k, seed=seed, queries=len(ledger), uniform_error=err,
+            suboptimality=subopt, bound=bound, bound_satisfied=bool(satisfied),
+            wall_ms=wall_ms))
+        prefix = [alg, instance.d, instance.s, f"{instance.epsilon:.17g}",
+                  instance.k, seed]
+        details.extend(prefix + list(row) for row in rows)
     if cfg.log_output:
         write_detail_csv(details, cfg.log_output)
     return records
@@ -427,7 +420,7 @@ def validate_instance_file(path):
         gram = instance.features.matrix @ instance.features.matrix.T
         iu = np.triu_indices(instance.k, k=1)
         level = float(np.max(np.abs(gram[iu]))) if iu[0].size else 0.0
-        if level > instance.orthogonality + 1e-12:
+        if level > instance.orthogonality + PAIRWISE_TOL:
             return False, messages + [
                 f"pairwise level {level:.6g} exceeds recorded "
                 f"{instance.orthogonality:.6g}"]
@@ -502,7 +495,7 @@ def main(argv=None) -> int:
     except (GuardExceededError, OverflowGuardError) as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, SparseBanditError) as exc:
+    except SparseBanditError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 3
     return 0

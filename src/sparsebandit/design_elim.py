@@ -24,6 +24,14 @@ from .param_elim import subsets_of_size
 SUBSET_GUARD = 10 ** 5
 
 
+def check_subset_guard(d: int, s: int) -> None:
+    """Refuse more than SUBSET_GUARD size-s subsets (also general-features)."""
+    n_subsets = math.comb(d, s)
+    if n_subsets > SUBSET_GUARD:
+        raise GuardExceededError(
+            f"{n_subsets} subsets exceed the desk-scale guard {SUBSET_GUARD}")
+
+
 @dataclass
 class SubsetStep:
     step: int
@@ -66,15 +74,11 @@ def first_prediction_gap(preds: np.ndarray, alive: np.ndarray, threshold: float,
     return None
 
 
-def run_design_elimination(instance: BanditInstance, ledger: QueryLedger, *,
-                           guard: int = SUBSET_GUARD) -> DesignElimResult:
+def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> DesignElimResult:
     if not instance.deterministic:
         raise ValidationError("design elimination requires a noiseless instance")
     d, s = instance.d, instance.s
-    n_subsets = math.comb(d, s)
-    if n_subsets > guard:
-        raise GuardExceededError(
-            f"{n_subsets} subsets exceed the desk-scale guard {guard}")
+    check_subset_guard(d, s)
     subsets = subsets_of_size(d, s)
     eps = instance.epsilon
     kill_thr = eps * (1.0 + math.sqrt(2.0 * s))

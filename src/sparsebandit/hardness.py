@@ -38,6 +38,7 @@ from .model import (
 )
 
 K_SATURATION = 10 ** 9
+PAIRWISE_TOL = 1e-12   # rounding slack on a computed pairwise inner product
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def normalize_and_validate(raw: np.ndarray, spec: HardMatrixSpec,
     normalized = raw / np.sqrt(norms_sq)[:, None]
     gram = normalized @ normalized.T
     iu = np.triu_indices(raw.shape[0], k=1)
-    pairwise_failures = int(np.sum(np.abs(gram[iu]) > spec.epsilon))
+    pairwise_failures = int(np.sum(np.abs(gram[iu]) > spec.epsilon + PAIRWISE_TOL))
     report = RejectionReport(
         seed=spec.seed if seed is None else seed,
         norm_failures=norm_failures,
@@ -179,10 +180,11 @@ def embed_index_query(features: FeatureMatrix, i_star: int, delta_gap: float,
                       epsilon: float) -> BanditInstance:
     """Instance with reward 2*Delta planted at the hidden row, 0 elsewhere.
 
-    Requires pairwise inner products at most epsilon / (2*Delta); the planted
-    parameter 2*Delta*a_star then represents the reward table with
-    misspecification at most epsilon, exactly zero at the hidden row. The
-    parameter norm 2*Delta may exceed 1; the instance records the bypass.
+    Requires pairwise inner products at most epsilon / (2*Delta), up to
+    PAIRWISE_TOL; the planted parameter 2*Delta*a_star then represents the
+    reward table with misspecification at most epsilon (or its realized
+    maximum, if rounded above), exactly zero at the hidden row. The parameter
+    norm 2*Delta may exceed 1; the instance records the bypass.
     """
     if not 0 <= i_star < features.k:
         raise ValidationError(f"hidden index {i_star} out of range")
@@ -191,7 +193,7 @@ def embed_index_query(features: FeatureMatrix, i_star: int, delta_gap: float,
     gram = features.matrix @ features.matrix.T
     iu = np.triu_indices(features.k, k=1)
     level = float(np.max(np.abs(gram[iu]))) if iu[0].size else 0.0
-    if level > epsilon / (2.0 * delta_gap):
+    if level > epsilon / (2.0 * delta_gap) + PAIRWISE_TOL:
         raise ValidationError(
             f"pairwise level {level:.6g} exceeds epsilon/(2*Delta) = "
             f"{epsilon / (2 * delta_gap):.6g}")
@@ -200,7 +202,8 @@ def embed_index_query(features: FeatureMatrix, i_star: int, delta_gap: float,
     rewards = np.zeros(features.k)
     rewards[i_star] = fitted[i_star]
     nu = rewards - fitted
-    if np.max(np.abs(nu)) > epsilon:
+    nu_max = float(np.max(np.abs(nu)))
+    if nu_max > epsilon + 2.0 * delta_gap * PAIRWISE_TOL:
         raise MisspecificationBoundError(
             "embedding produced misspecification above epsilon; "
             "the orthogonality precondition was violated")
@@ -209,7 +212,7 @@ def embed_index_query(features: FeatureMatrix, i_star: int, delta_gap: float,
         features=features,
         theta_star=SparseParameter(theta, skip_norm_check=True),
         misspec=nu,
-        epsilon=epsilon,
+        epsilon=max(epsilon, nu_max),
         noise=NoiseModel(),
         theta_norm_bypassed=bypass,
         orthogonality=level,

@@ -102,14 +102,14 @@ class SparseParameter:
 
 
 class QueryLedger:
-    """Append-only record of (action index, reward, counter) per query.
+    """Append-only record of (action index, reward) per query.
 
     One ledger per run; its length is the run's sample complexity. For noisy
     instances the ledger also owns the run's private noise stream.
     """
 
     def __init__(self, noise_seed: int | None = None):
-        self.entries: list[tuple[int, float, int]] = []
+        self.entries: list[tuple[int, float]] = []
         self.noise_seed = noise_seed
         self._rng = None
 
@@ -117,7 +117,7 @@ class QueryLedger:
         return len(self.entries)
 
     def record(self, index: int, reward: float) -> None:
-        self.entries.append((int(index), float(reward), len(self.entries)))
+        self.entries.append((int(index), float(reward)))
 
     def noise_rng(self, default_seed: int):
         if self._rng is None:
@@ -242,6 +242,8 @@ def random_sparse_instance(d, s, k, epsilon, seed, *, noise=None,
     keeps elimination runs informative). theta* sits on a random support of
     size s, unit norm by default so nets can be seeded with its restriction.
     """
+    if not 1 <= s <= d:
+        raise ValidationError("need 1 <= s <= d")
     if k < (2 * d if basis_probes else 1):
         raise ValidationError("k too small for the requested probe rows")
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ together, so the survivor state is one flag per (subset, net point) pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -109,19 +110,24 @@ def subsets_of_size(d: int, s: int) -> tuple:
     return tuple(combinations(range(d), s))
 
 
-def build_candidate_sets(features: FeatureMatrix, net: CoveringNet,
-                         guard: int = TRIPLE_GUARD) -> CandidateSets:
+def check_triple_guard(d: int, net: CoveringNet) -> None:
+    """Refuse more than TRIPLE_GUARD candidate triples, C(d, s) * |net|^2."""
+    n_triples = math.comb(d, net.s) * net.size * net.size
+    if n_triples > TRIPLE_GUARD:
+        raise GuardExceededError(
+            f"{n_triples} candidate triples exceed the desk-scale guard {TRIPLE_GUARD}")
+
+
+def build_candidate_sets(features: FeatureMatrix, net: CoveringNet) -> CandidateSets:
     """Project every action restriction onto the net and cache anchor values.
 
     The net's separation is eps/2, so the instance epsilon is recovered as
     twice the separation. Refuses configurations beyond the desk-scale guard
-    on the triple count (the elimination loop is exponential by design).
+    on the triple count (the elimination loop is exponential by design)
+    before enumerating the subsets.
     """
+    check_triple_guard(features.d, net)
     subsets = subsets_of_size(features.d, net.s)
-    n_triples = len(subsets) * net.size * net.size
-    if n_triples > guard:
-        raise GuardExceededError(
-            f"{n_triples} candidate triples exceed the desk-scale guard {guard}")
     phi = features.matrix
     proj = np.empty((len(subsets), features.k, net.size))
     for m_idx, subset in enumerate(subsets):
@@ -236,8 +242,7 @@ def find_violation(candidates: CandidateSets, alive: np.ndarray | None = None):
 
 
 def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
-                              net: CoveringNet,
-                              guard: int = TRIPLE_GUARD) -> ParamElimResult:
+                              net: CoveringNet) -> ParamElimResult:
     """Eliminate candidate families until no disagreement remains.
 
     Per loop iteration: query the disagreeing action once; if the observed
@@ -250,7 +255,7 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
         raise ValidationError("parameter elimination requires a noiseless instance")
     if net.s > instance.d:
         raise ValidationError("net dimension exceeds feature dimension")
-    cand = build_candidate_sets(instance.features, net, guard=guard)
+    cand = build_candidate_sets(instance.features, net)
     eps = cand.epsilon
     alive = cand.fresh_alive()
     clean = np.zeros_like(alive)

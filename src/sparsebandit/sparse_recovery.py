@@ -20,11 +20,10 @@ from scipy.optimize import linprog
 from .compressed_elim import run_benign_elimination
 from .compression import choose_target_dim, find_certified_map
 from .design import core_set_bound, design_for_subset
-from .errors import GuardExceededError, ValidationError
+from .design_elim import check_subset_guard
+from .errors import ValidationError
 from .model import BanditInstance, FeatureMatrix, QueryLedger, uniform_error
 from .param_elim import subsets_of_size
-
-RECOVERY_GUARD = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -63,17 +62,13 @@ class MergedSetDiagnostic:
     bound: float
 
 
-def collect_representatives(features: FeatureMatrix, s: int,
-                            guard: int = RECOVERY_GUARD) -> RepresentativeSet:
+def collect_representatives(features: FeatureMatrix, s: int) -> RepresentativeSet:
     """z design-support rows per size-s subset, z = ceil(4s loglog(max(s,3)) + 16).
 
     Designs whose support is smaller than z are padded by repeating their
     heaviest-weight action, so the row count is exactly C(d,s) * z.
     """
-    n_subsets = math.comb(features.d, s)
-    if n_subsets > guard:
-        raise GuardExceededError(
-            f"{n_subsets} subsets exceed the desk-scale guard {guard}")
+    check_subset_guard(features.d, s)
     z = core_set_bound(s)
     subsets = subsets_of_size(features.d, s)
     rows, sources = [], []
@@ -109,8 +104,7 @@ def _restricted_minimax(psi_m: np.ndarray, targets: np.ndarray):
     return res.x[:s], float(res.x[-1])
 
 
-def sparse_linf_recover(psi, targets, s: int,
-                        guard: int = RECOVERY_GUARD) -> RecoveryResult:
+def sparse_linf_recover(psi, targets, s: int) -> RecoveryResult:
     """Exact sparse minimax recovery by support enumeration.
 
     Solves min over |M| = s and theta supported on M of
@@ -124,9 +118,7 @@ def sparse_linf_recover(psi, targets, s: int,
     if not np.any(psi):
         raise ValidationError("representative matrix is identically zero")
     d = psi.shape[1]
-    if math.comb(d, s) > guard:
-        raise GuardExceededError(
-            f"{math.comb(d, s)} supports exceed the desk-scale guard {guard}")
+    check_subset_guard(d, s)
     best = None
     for subset in subsets_of_size(d, s):
         theta_m, obj = _restricted_minimax(psi[:, list(subset)], targets)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsebandit import random_sparse_instance, save_instance
+from sparsebandit import QueryLedger, cli, random_sparse_instance, save_instance
 from sparsebandit.cli import (
     CSV_COLUMNS,
     main,
@@ -21,6 +21,20 @@ def write_config(tmp_path, text, name="cfg.txt"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+@pytest.fixture
+def ledger_records(monkeypatch):
+    """Every action index recorded on any QueryLedger during the test."""
+    recorded = []
+    record = QueryLedger.record
+
+    def counting(self, index, reward):
+        recorded.append(index)
+        record(self, index, reward)
+
+    monkeypatch.setattr(QueryLedger, "record", counting)
+    return recorded
 
 
 def test_parse_config_round_trip(tmp_path):
@@ -142,10 +156,10 @@ output {out}
     assert not out.exists()
 
 
-def test_guard_check_runs_before_any_queries(tmp_path):
+def test_guard_check_runs_before_any_queries(tmp_path, ledger_records):
     path = write_config(tmp_path, """
 algorithm design-elim
-d 4,30
+d 5,30
 s 1,5
 epsilon 0.1
 k 64
@@ -154,6 +168,79 @@ seeds 0
     cfg = parse_config(path)
     with pytest.raises(GuardExceededError):
         run_experiment(cfg)
+    assert ledger_records == []
+
+
+def test_sparsity_above_dimension_is_an_invariant_failure(tmp_path):
+    out = tmp_path / "sd.csv"
+    path = write_config(tmp_path, f"""
+algorithm random-baseline
+d 4
+s 5
+epsilon 0.1
+k 12
+seeds 0
+output {out}
+""")
+    assert main(["run", str(path)]) == 3
+    assert not out.exists()
+
+
+def test_guard_uses_the_explicit_file_dimensions(tmp_path, ledger_records):
+    inst_path = tmp_path / "inst.txt"
+    save_instance(random_sparse_instance(30, 5, 64, 0.1, seed=0), inst_path)
+    out = tmp_path / "ef.csv"
+    path = write_config(tmp_path, f"""
+algorithm random-baseline,design-elim
+source explicit-file
+instance_file {inst_path}
+seeds 0
+output {out}
+""")
+    assert main(["sweep", str(path)]) == 2
+    assert ledger_records == []
+    assert not out.exists()
+
+
+def test_hard_instance_overflow_is_refused_before_any_query(tmp_path, ledger_records):
+    out = tmp_path / "hard.csv"
+    path = write_config(tmp_path, f"""
+algorithm random-baseline
+source hard-instance
+d 64
+s 8,64
+epsilon 2.0
+k 3,0
+delta 0.5
+tau 0.95
+seeds 0
+output {out}
+""")
+    assert main(["run", str(path)]) == 2
+    assert ledger_records == []
+    assert not out.exists()
+
+
+def test_param_elim_builds_one_net_per_point(tmp_path, monkeypatch):
+    calls = []
+    build = cli.build_separated_net
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_separated_net", counting)
+    path = write_config(tmp_path, f"""
+algorithm param-elim
+d 4
+s 1
+epsilon 0.1
+k 12
+seeds 0,1
+output {tmp_path / "pe.csv"}
+""")
+    assert main(["run", str(path)]) == 0
+    assert len(calls) == 2
 
 
 def test_validate_subcommand(tmp_path, capsys):

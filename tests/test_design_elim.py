@@ -82,6 +82,6 @@ def test_determinism():
 
 
 def test_guard():
-    inst = random_sparse_instance(24, 5, 60, 0.1, seed=0)
+    inst = random_sparse_instance(30, 5, 60, 0.1, seed=0)   # C(30,5) = 142,506
     with pytest.raises(GuardExceededError):
-        run_design_elimination(inst, QueryLedger(), guard=10_000)
+        run_design_elimination(inst, QueryLedger())

@@ -98,6 +98,35 @@ def test_rejection_report_counts():
         generate_validated(spec, max_retries=3)
 
 
+def test_pairwise_count_matches_integer_oracle():
+    # rows are +-1/sqrt(s), so s * <a_i, a_j> is the integer sign overlap and
+    # a pair at exactly the level (overlap s * epsilon) must not count
+    at_level = 0
+    for seed in range(20):
+        spec = HardMatrixSpec(d=64, s=8, epsilon=0.5, tau=0.1, delta=0.25,
+                              seed=seed, k=200)
+        raw = sample_raw_matrix(spec)
+        signs = np.sign(raw).astype(np.int64)
+        overlap = np.abs(signs @ signs.T)[np.triu_indices(spec.k, k=1)]
+        report = normalize_and_validate(raw, spec).report
+        assert report.pairwise_failures == int(np.sum(overlap > spec.s * spec.epsilon))
+        at_level += int(np.sum(overlap == spec.s * spec.epsilon))
+    assert at_level > 0
+
+
+def test_embedding_accepts_pairs_at_the_level():
+    # s = 2: a pair sharing one coordinate sits at exactly 1/2, the level
+    spec = HardMatrixSpec(d=8, s=2, epsilon=0.5, tau=0.95, delta=0.25,
+                          seed=0, k=16)
+    features, _, _ = generate_validated(spec)
+    gram = features.matrix @ features.matrix.T
+    assert np.max(np.abs(gram[np.triu_indices(16, k=1)])) > 0.5
+    inst = embed_index_query(features, i_star=0, delta_gap=0.5, epsilon=0.5)
+    assert 0.5 <= inst.epsilon <= 0.5 + 1e-12
+    assert np.max(np.abs(inst.misspec)) <= inst.epsilon
+    assert inst.misspec[0] == 0.0
+
+
 def test_regime_selector_and_constant():
     spec = HardMatrixSpec(d=64, s=8, epsilon=0.5, tau=0.1, delta=0.25, seed=0)
     assert c_prime(spec) == pytest.approx(

@@ -63,7 +63,7 @@ def test_query_deterministic_and_ledger_grows():
     r2 = query(inst, 0, ledger)
     assert r1 == r2 == 0.5
     assert len(ledger) == 2
-    assert [e[2] for e in ledger.entries] == [0, 1]
+    assert [e[0] for e in ledger.entries] == [0, 0]
 
 
 def test_query_out_of_range():

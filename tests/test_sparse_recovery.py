@@ -71,7 +71,7 @@ def test_recover_rejects_degenerate_input():
     with pytest.raises(ValidationError):
         sparse_linf_recover(np.zeros((5, 4)), np.zeros(5), 2)
     with pytest.raises(GuardExceededError):
-        sparse_linf_recover(np.ones((4, 60)), np.ones(4), 5, guard=1000)
+        sparse_linf_recover(np.ones((4, 60)), np.ones(4), 5)
 
 
 def test_exchange_oracle_agrees_with_lp_on_single_support():
