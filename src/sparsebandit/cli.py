@@ -217,8 +217,6 @@ def _grid(cfg: ExperimentConfig):
 
 
 def _build_point_instance(cfg, d, s, eps, k, delta, seed):
-    if cfg.source == "explicit-file":
-        return load_instance(cfg.instance_file)
     if cfg.source == "hard-instance":
         spec = HardMatrixSpec(d=d, s=s, epsilon=eps, tau=cfg.tau,
                               delta=cfg.hard_delta, seed=seed,
@@ -244,14 +242,18 @@ def check_guards(cfg: ExperimentConfig):
 
     Returns (prepared, violations): (algorithm, point, instance, net) in run
     order (net only for param-elim), and (algorithm, point, message). No
-    query is issued here; the prepared grid stays in memory for the run.
+    query is issued here; the prepared grid stays in memory for the run. An
+    explicit instance file is loaded and validated once and shared by every
+    point; no learner modifies its instance.
     """
     prepared, violations = [], []
+    shared = load_instance(cfg.instance_file) if cfg.source == "explicit-file" else None
     for alg in cfg.algorithms:
         for point in _grid(cfg):
             net = None
             try:
-                instance = _build_point_instance(cfg, *point)
+                instance = (shared if shared is not None
+                            else _build_point_instance(cfg, *point))
                 if alg == "param-elim":
                     net = _net_for(cfg, instance, point[-1])
                     check_triple_guard(instance.d, net)

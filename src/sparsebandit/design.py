@@ -199,6 +199,17 @@ def estimate_parameter(instance: BanditInstance, index_set, design: DesignDistri
 
 
 def design_for_subset(features_matrix: np.ndarray, index_set) -> DesignDistribution:
-    """Frank-Wolfe design over the column restriction of the feature matrix."""
+    """Frank-Wolfe design over the column restriction of the feature matrix.
+
+    A restriction that is numerically zero on every row (no column norm
+    above PIVOT_TOL, so no pivot would be retained) gets the empty design:
+    no support and no retained column, so its estimate is 0 and costs no
+    query.
+    """
     idx = np.asarray(sorted(int(i) for i in index_set), dtype=np.intp)
-    return frank_wolfe_design(features_matrix[:, idx])
+    block = features_matrix[:, idx]
+    if np.linalg.norm(block, axis=0).max(initial=0.0) <= PIVOT_TOL:
+        return DesignDistribution(support=(), design_matrix=np.zeros((0, 0)),
+                                  g_value=0.0, retained_columns=(),
+                                  g_history=(), iterations=0)
+    return frank_wolfe_design(block)

@@ -142,7 +142,47 @@ def build_candidate_sets(features: FeatureMatrix, net: CoveringNet) -> Candidate
     )
 
 
-def pair_first_violation(P, W, alive, m_idx, t_idx, eps):
+class Envelope:
+    """Per-action max and min of P[mp, x, tp] over the alive families (mp, tp).
+
+    Each action's values over all families are sorted once; a cursor from
+    either end of that order rests on the smallest and the largest alive
+    value. Families only die, so ``refresh`` moves the cursors forward past
+    dead families only, at O(n_pairs * k) steps over a whole run.
+    """
+
+    def __init__(self, P: np.ndarray, alive: np.ndarray):
+        k = P.shape[1]
+        flat = P.transpose(1, 0, 2).reshape(k, -1)       # (k, n_pairs)
+        self._order = np.argsort(flat, axis=1)
+        self._sorted = np.take_along_axis(flat, self._order, axis=1)
+        last = flat.shape[1] - 1
+        self._cursor = np.array([[0] * k, [last] * k], dtype=np.intp)  # lo, hi
+        self._family = self._order[np.arange(k), self._cursor]      # under each
+        self.lo = self._sorted[:, 0].copy()
+        self.hi = self._sorted[:, -1].copy()
+        self.refresh(alive)
+
+    def refresh(self, alive: np.ndarray) -> None:
+        """Move the cursors past families that died since the last call.
+
+        Only cursors resting on a dead family move, one at a time: a kill
+        usually strands one or two of them. With no alive family left the
+        cursors stop at the far ends."""
+        flat = alive.reshape(-1)
+        last = flat.size - 1
+        for side, x in np.argwhere(flat[self._family] == 0).tolist():
+            step, end, values = (1, last, self.lo) if side == 0 else (-1, 0, self.hi)
+            order = self._order[x]
+            c = int(self._cursor[side, x])
+            while c != end and not flat[order[c]]:
+                c += step
+            self._cursor[side, x] = c
+            self._family[side, x] = order[c]
+            values[x] = self._sorted[x, c]
+
+
+def pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope=None):
     """First violating tuple for the primary family (m_idx, t_idx).
 
     A tuple (w, mp, tp, x) violates when the action x lies in the primary
@@ -151,67 +191,50 @@ def pair_first_violation(P, W, alive, m_idx, t_idx, eps):
     more than 5*eps/2 away from the anchor value W[w, t_idx].
 
     Scan order: w ascending, then rival pairs (mp, tp) lexicographic, then x
-    ascending. Returns (w, mp, tp, x) or None.
+    ascending. Returns (w, mp, tp, x) or None. ``envelope`` is an
+    ``Envelope`` current for ``alive``; one is built when it is None.
+
+    Anchor w has a violating action iff some x in its group has
+    fl(hi[x] - c_w) > 5*eps/2 or fl(lo[x] - c_w) < -5*eps/2: rounded
+    subtraction is monotone, so no alive value lies further out than the
+    envelope. The primary's own value at such an x is within eps/2 of c_w,
+    so leaving it in the envelope changes nothing.
     """
-    n_sub, k, n = P.shape
-    u = P[m_idx, :, t_idx]
-    c = np.ascontiguousarray(W[:, t_idx])
-    h = 0.5 * eps
+    if envelope is None:
+        envelope = Envelope(P, alive)
+    c = W[:, t_idx, None]                                 # (n, 1)
     thr = 2.5 * eps
-    near = np.abs(u[None, :] - c[:, None]) <= h        # (n, k)
-    anyw = near.any(axis=0)
-    if not anyw.any():
-        return None
-    c_lo = np.where(near, c[:, None], np.inf).min(axis=0)
-    c_hi = np.where(near, c[:, None], -np.inf).max(axis=0)
-
-    # Phase A: per rival family, candidates (x, tp) admitting some violating
-    # anchor; the deviation over the anchor window is extremal at its ends.
-    wstar = n
-    for mp in range(n_sub):
-        av = alive[mp].astype(bool)
-        if mp == m_idx:
-            av = av.copy()
-            av[t_idx] = False
-        if not av.any():
-            continue
-        V = P[mp]                                      # (k, n)
-        dev = np.maximum(np.abs(V - c_lo[:, None]), np.abs(V - c_hi[:, None]))
-        viol = (dev > thr) & av[None, :] & anyw[:, None]
-        if not viol.any():
-            continue
-        xs, tps = np.nonzero(viol)
-        vals = V[xs, tps]
-        # Phase B: earliest anchor w admitting any candidate of this rival.
-        for lo in range(0, xs.size, 4096):
-            xs_c = xs[lo:lo + 4096]
-            vals_c = vals[lo:lo + 4096]
-            wmask = near[:wstar, xs_c] & (np.abs(vals_c[None, :] - c[:wstar, None]) > thr)
-            hits = wmask.any(axis=1)
-            if hits.any():
-                wstar = int(np.argmax(hits))
-        if wstar == 0:
-            break
-    if wstar >= n:
+    near = np.abs(P[m_idx, :, t_idx] - c) <= 0.5 * eps    # (n, k)
+    viol = near & ((envelope.hi - c > thr) | (envelope.lo - c < -thr))
+    hits = viol.any(axis=1)
+    if not hits.any():
         return None
 
-    # Final pass at the winning anchor: first rival pair, then first action.
-    cw = c[wstar]
-    rmask = np.abs(u - cw) <= h                        # (k,)
-    for mp in range(n_sub):
-        av = alive[mp].astype(bool)
-        if mp == m_idx:
-            av = av.copy()
-            av[t_idx] = False
-        if not av.any():
+    # at the winning anchor: the first rival pair, then its first action
+    w = int(np.argmax(hits))
+    xs = np.flatnonzero(viol[w])
+    far = np.abs(P[:, xs, :] - c[w]) > thr               # (n_sub, |xs|, n)
+    rival = far.any(axis=1) & (alive != 0)
+    rival[m_idx, t_idx] = False
+    mp, tp = divmod(int(np.argmax(rival)), rival.shape[1])
+    x = int(xs[np.argmax(far[mp, :, tp])])
+    return (w, mp, tp, x)
+
+
+def _scan(candidates: CandidateSets, alive: np.ndarray, envelope: Envelope,
+          start: int = 0):
+    """First violating (m_idx, t_idx, w, mp, tp, x) whose primary sits at or
+    after flat pair ``start``, or None."""
+    n = candidates.n_net
+    for pair in range(start, candidates.n_pairs):
+        m_idx, t_idx = divmod(pair, n)
+        if not alive[m_idx, t_idx]:
             continue
-        V = P[mp]
-        mask = rmask[:, None] & av[None, :] & (np.abs(V - cw) > thr)
-        cols = mask.any(axis=0)
-        if cols.any():
-            tp = int(np.argmax(cols))
-            x = int(np.argmax(mask[:, tp]))
-            return (wstar, mp, tp, x)
+        hit = pair_first_violation(candidates.projections, candidates.anchors,
+                                   alive, m_idx, t_idx, candidates.epsilon,
+                                   envelope)
+        if hit is not None:
+            return (m_idx, t_idx) + hit
     return None
 
 
@@ -228,17 +251,8 @@ def find_violation(candidates: CandidateSets, alive: np.ndarray | None = None):
     """
     if alive is None:
         alive = candidates.fresh_alive()
-    n = candidates.n_net
-    for m_idx in range(candidates.n_subsets):
-        for t_idx in range(n):
-            if not alive[m_idx, t_idx]:
-                continue
-            hit = pair_first_violation(candidates.projections, candidates.anchors,
-                                       alive, m_idx, t_idx, candidates.epsilon)
-            if hit is not None:
-                w_idx, mp, tp, x = hit
-                return Violation(m_idx, t_idx, w_idx, mp, tp, x)
-    return None
+    hit = _scan(candidates, alive, Envelope(candidates.projections, alive))
+    return None if hit is None else Violation(*hit)
 
 
 def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
@@ -250,6 +264,9 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
     primary family dies, otherwise the rival does. Terminates within
     (net size) * (number of subsets) queries and returns the first surviving
     family in scan order together with its post-hoc uniform error.
+
+    Each step's scan resumes at the last primary: every family before it is
+    dead or has no violation, and since rivals only die it stays so.
     """
     if not instance.deterministic:
         raise ValidationError("parameter elimination requires a noiseless instance")
@@ -258,32 +275,18 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
     cand = build_candidate_sets(instance.features, net)
     eps = cand.epsilon
     alive = cand.fresh_alive()
-    clean = np.zeros_like(alive)
+    envelope = Envelope(cand.projections, alive)
     n = cand.n_net
+    cursor = 0
     log: list[EliminationStep] = []
 
     max_steps = cand.n_pairs + 1
     for _ in range(max_steps):
-        found = None
-        for m_idx in range(cand.n_subsets):
-            row_alive = alive[m_idx]
-            row_clean = clean[m_idx]
-            for t_idx in range(n):
-                if not row_alive[t_idx] or row_clean[t_idx]:
-                    continue
-                hit = pair_first_violation(cand.projections, cand.anchors,
-                                           alive, m_idx, t_idx, eps)
-                if hit is None:
-                    # rivals only ever die, so a clean family stays clean
-                    row_clean[t_idx] = 1
-                    continue
-                found = (m_idx, t_idx) + hit
-                break
-            if found:
-                break
-        if not found:
+        found = _scan(cand, alive, envelope, cursor)
+        if found is None:
             break
         m_idx, t_idx, w_idx, mp, tp, x = found
+        cursor = m_idx * n + t_idx
         reward = query(instance, x, ledger)
         anchor_value = float(cand.anchors[w_idx, t_idx])
         if abs(reward - anchor_value) > 1.5 * eps:
@@ -292,6 +295,7 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
         else:
             alive[mp, tp] = 0
             killed = "rival"
+        envelope.refresh(alive)
         log.append(EliminationStep(
             step=len(log), action=x, reward=reward, anchor_value=anchor_value,
             primary=(m_idx, t_idx), rival=(mp, tp), killed=killed))

@@ -28,7 +28,7 @@ from .param_elim import subsets_of_size
 
 @dataclass(frozen=True)
 class RepresentativeSet:
-    matrix: np.ndarray        # (C(d,s) * z, d); every row is a feature row
+    matrix: np.ndarray        # (at most C(d,s) * z, d); every row is a feature row
     source_rows: np.ndarray   # original action index per representative row
     z: int
     subsets: tuple
@@ -66,7 +66,9 @@ def collect_representatives(features: FeatureMatrix, s: int) -> RepresentativeSe
     """z design-support rows per size-s subset, z = ceil(4s loglog(max(s,3)) + 16).
 
     Designs whose support is smaller than z are padded by repeating their
-    heaviest-weight action, so the row count is exactly C(d,s) * z.
+    heaviest-weight action. A subset that is zero on every row has the empty
+    design and adds no row, so the row count is C(d,s) * z less z per such
+    subset.
     """
     check_subset_guard(features.d, s)
     z = core_set_bound(s)
@@ -74,6 +76,8 @@ def collect_representatives(features: FeatureMatrix, s: int) -> RepresentativeSe
     rows, sources = [], []
     for subset in subsets:
         design = design_for_subset(features.matrix, subset)
+        if not design.support:
+            continue
         chosen = [idx for idx, _ in design.support]
         heaviest = max(design.support, key=lambda iw: iw[1])[0]
         while len(chosen) < z:

@@ -243,6 +243,52 @@ output {tmp_path / "pe.csv"}
     assert len(calls) == 2
 
 
+def test_explicit_file_is_loaded_once(tmp_path, monkeypatch):
+    inst_path = tmp_path / "inst.txt"
+    save_instance(random_sparse_instance(5, 2, 14, 0.3, seed=4), inst_path)
+    calls = []
+    load = cli.load_instance
+
+    def counting(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_instance", counting)
+    out = tmp_path / "ef.csv"
+    path = write_config(tmp_path, f"""
+algorithm {",".join(cli.ALGORITHMS)}
+source explicit-file
+instance_file {inst_path}
+seeds 0,1
+output {out}
+""")
+    assert main(["sweep", str(path)]) == 0
+    assert len(calls) == 1
+    assert len(out.read_text().strip().splitlines()) == 1 + 2 * len(cli.ALGORITHMS)
+
+
+@pytest.mark.parametrize("algorithm", ["design-elim", "general-features"])
+def test_zero_subsets_of_a_hard_instance_run(tmp_path, algorithm):
+    # at k = 8 some coordinate pairs are zero on every row of the hard matrix
+    out = tmp_path / "zero.csv"
+    path = write_config(tmp_path, f"""
+algorithm {algorithm}
+source hard-instance
+d 12
+s 2
+epsilon 0.6
+k 8
+seeds 0,1,2
+output {out}
+""")
+    assert main(["sweep", str(path)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        record = dict(zip(CSV_COLUMNS, row.split(",")))
+        assert record["bound_satisfied"] == "true"
+
+
 def test_validate_subcommand(tmp_path, capsys):
     inst = random_sparse_instance(4, 2, 10, 0.1, seed=5)
     path = tmp_path / "inst.txt"

@@ -89,6 +89,19 @@ def test_zero_rows_rejected():
         frank_wolfe_design(np.zeros((4, 3)))
 
 
+def test_zero_subset_gets_the_empty_design():
+    # column 1 is zero on every row: the subset {1} predicts 0 and costs no query
+    phi = np.array([[0.6, 0.0, 0.8], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    inst = build_instance(phi, np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.1)
+    design = design_for_subset(phi, [1])
+    assert design.support == () and design.retained_columns == ()
+    ledger = QueryLedger()
+    assert np.array_equal(estimate_parameter(inst, [1], design, ledger), [0.0])
+    assert len(ledger) == 0
+    # a subset with one live column keeps its Frank-Wolfe design
+    assert design_for_subset(phi, [0, 1]).retained_columns == (0,)
+
+
 def test_estimator_exact_recovery_noiseless():
     inst = random_sparse_instance(6, 2, 20, 1e-9, seed=8)
     exact = build_instance(inst.features, inst.theta_star, np.zeros(inst.k), 1.0)

@@ -5,7 +5,7 @@ from helpers import first_violation_oracle, greedy_pack_oracle
 
 from sparsebandit import random_sparse_instance
 from sparsebandit.net import build_separated_net, greedy_pack, sphere_pool
-from sparsebandit.param_elim import build_candidate_sets, pair_first_violation
+from sparsebandit.param_elim import Envelope, build_candidate_sets, pair_first_violation
 
 
 def test_greedy_pack_matches_oracle():
@@ -33,3 +33,47 @@ def test_pair_first_violation_matches_oracle():
                     continue
                 args = (cand.projections, cand.anchors, alive, m, t, cand.epsilon)
                 assert pair_first_violation(*args) == first_violation_oracle(*args)
+
+
+def test_envelope_tracks_alive_extremes():
+    inst = random_sparse_instance(5, 2, 12, 0.5, seed=3)
+    net = build_separated_net(2, inst.epsilon, seed=3, pool_size=400)
+    P = build_candidate_sets(inst.features, net).projections
+    rng = np.random.default_rng(2)
+    alive = np.ones((P.shape[0], P.shape[2]), dtype=np.uint8)
+    env = Envelope(P, alive)
+    values = P.transpose(1, 0, 2).reshape(P.shape[1], -1)
+    for pair in rng.permutation(alive.size)[:-1]:
+        alive.reshape(-1)[pair] = 0
+        env.refresh(alive)
+        live = alive.reshape(-1).astype(bool)
+        assert np.array_equal(env.hi, values[:, live].max(axis=1))
+        assert np.array_equal(env.lo, values[:, live].min(axis=1))
+
+
+def _boundary_case(c, rival_values):
+    """Primary (0, 0) groups both actions at anchor 0, whose value is c; the
+    rival family (1, 0) takes ``rival_values``; every other family sits at c."""
+    P = np.full((2, 2, 2), c)
+    P[1, :, 0] = rival_values
+    W = np.array([[c, c], [10.0, 10.0]])
+    return P, W, np.ones((2, 2), dtype=np.uint8), 0, 0, 0.25
+
+
+def test_violation_threshold_is_strict_in_floating_point():
+    thr = 2.5 * 0.25
+    past = np.nextafter(thr, np.inf)
+    up, down = -0.5, 0.5                 # anchors where both offsets are exact
+    assert (up + thr) - up == thr and (up + past) - up == past
+    assert (down - thr) - down == -thr and (down - past) - down == -past
+    cases = [
+        (up, (up + thr, up + thr), None),
+        (up, (up + thr, up + past), (0, 1, 0, 1)),
+        (down, (down - thr, down - thr), None),
+        (down, (down - past, down - thr), (0, 1, 0, 0)),
+    ]
+    for c, values, want in cases:
+        args = _boundary_case(c, values)
+        assert first_violation_oracle(*args) == want
+        assert pair_first_violation(*args) == want
+        assert pair_first_violation(*args, Envelope(args[0], args[2])) == want

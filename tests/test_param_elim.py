@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import first_violation_oracle
 
 from sparsebandit import (
     QueryLedger,
@@ -132,6 +133,46 @@ def test_find_violation_matches_brute_force_scan():
         net = seeded_net_for(inst, seed=seed, pool_size=300)
         cand = build_candidate_sets(inst.features, net)
         assert find_violation(cand) == brute_force_violation(cand)
+
+
+def restart_scan_log(instance, net):
+    """Reference run: each step rescans every alive family from pair 0 with
+    the definition oracle and applies the same kill rule."""
+    cand = build_candidate_sets(instance.features, net)
+    alive = cand.fresh_alive()
+    log = []
+    while True:
+        hit = None
+        for m, t in np.argwhere(alive).tolist():
+            found = first_violation_oracle(cand.projections, cand.anchors, alive,
+                                           m, t, cand.epsilon)
+            if found is not None:
+                hit = (m, t) + found
+                break
+        if hit is None:
+            return log
+        m, t, w, mp, tp, x = hit
+        if abs(float(instance.rewards[x]) - cand.anchors[w, t]) > 1.5 * cand.epsilon:
+            alive[m, t] = 0
+            killed = "primary"
+        else:
+            alive[mp, tp] = 0
+            killed = "rival"
+        log.append((x, (m, t), (mp, tp), killed))
+
+
+def test_run_matches_a_restart_scan():
+    cases = [(random_sparse_instance(4, 1, 10, 0.3, seed=seed), seed, 2000)
+             for seed in range(3)]
+    cases += [(random_sparse_instance(4, 2, 12, 0.6, seed=seed), seed, 300)
+              for seed in range(3)]
+    cases.append((random_sparse_instance(5, 2, 16, 0.4, seed=7), 7, 600))
+    for inst, seed, pool in cases:
+        net = seeded_net_for(inst, seed=seed, pool_size=pool)
+        res = run_parameter_elimination(inst, QueryLedger(), net=net)
+        got = [(e.action, e.primary, e.rival, e.killed) for e in res.log]
+        assert got == restart_scan_log(inst, net)
+        assert len(got) > 0
 
 
 def test_run_with_huge_epsilon_is_vacuous():
