@@ -54,15 +54,13 @@ from .model import (
     save_instance,
     uniform_error,
 )
-from .net import CoveringNet, build_separated_net, include_point, nearest_net_point
+from .net import CoveringNet, build_separated_net, include_point
 from .param_elim import (
     build_candidate_sets,
-    find_violation,
     run_parameter_elimination,
 )
 from .sparse_recovery import (
     collect_representatives,
-    merged_set_diagnostic,
     run_general_features,
     sparse_linf_recover,
 )

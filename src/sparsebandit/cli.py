@@ -14,7 +14,7 @@ comment. List-valued keys take comma-separated entries without spaces.
     k            grid list of action counts (hard-instance: 0 = threshold)
     delta        grid list of reward gaps (hard-instance embedding and the
                  random-baseline target)
-    seeds        list of seeds
+    seeds        list of seeds, each >= 0
     c_const      threshold constant for benign elimination (default 2.0)
     c_jl         compression dimension constant (default 8.0)
     c            hard-instance regime constant (default 2.0)
@@ -23,7 +23,8 @@ comment. List-valued keys take comma-separated entries without spaces.
     i_star       hidden index for hard-instance embedding (default 0)
     budget       query budget for benign elimination (default 50*k)
     kappa        bound constant for the compressed algorithms (default 10.0)
-    pool_size    net pool override for param-elim (default: library default)
+    pool_size    net pool override for param-elim, >= 1 (default: library
+                 default)
     seed_net     1 to plant the true restriction in the net when it is a
                  unit vector (default 1)
     measure_time 1 to record real wall-clock times in the CSV; the default 0
@@ -158,7 +159,7 @@ def parse_config(path) -> ExperimentConfig:
             key, value = parts[0], parts[1].strip()
             if key in values:
                 raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-            values[(key)] = (value, line_no)
+            values[key] = (value, line_no)
 
     cfg = ExperimentConfig(algorithms=[])
 
@@ -179,14 +180,19 @@ def parse_config(path) -> ExperimentConfig:
         value, line_no = values.pop(key)
         try:
             if key in _INT_LIST:
-                setattr(cfg, "seeds" if key == "seeds" else key,
-                        [int(v) for v in value.split(",")])
+                ints = [int(v) for v in value.split(",")]
+                if key == "seeds" and min(ints) < 0:
+                    raise ValueError("seeds must be >= 0")
+                setattr(cfg, key, ints)
             elif key in _FLOAT_LIST:
                 setattr(cfg, key, [float(v) for v in value.split(",")])
             elif key in _FLOATS:
                 setattr(cfg, key, float(value))
             elif key in _INTS:
-                setattr(cfg, key, int(value))
+                number = int(value)
+                if key == "pool_size" and number < 1:
+                    raise ValueError("pool_size must be >= 1")
+                setattr(cfg, key, number)
             elif key in _BOOLS:
                 if value not in ("0", "1"):
                     raise ValueError("expected 0 or 1")

@@ -47,10 +47,6 @@ class DesignDistribution:
     iterations: int
 
     @property
-    def support_indices(self) -> tuple:
-        return tuple(i for i, _ in self.support)
-
-    @property
     def weights(self) -> dict:
         return {i: w for i, w in self.support}
 

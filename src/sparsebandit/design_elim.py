@@ -57,9 +57,12 @@ class DesignElimResult:
 
 def first_prediction_gap(preds: np.ndarray, alive: np.ndarray, threshold: float,
                          start: int = 0):
-    """First (primary, rival, action) with |preds gap| > threshold.
+    """First (primary, rival, action) with |preds gap| > threshold, or None.
 
     Subsets scan in lexicographic order for both roles, actions by row.
+    Primaries before ``start`` are skipped: a caller passes the last primary
+    once every alive subset before it is known to have no gap against any
+    alive rival, which stays true as long as subsets only die.
     """
     n_sub = preds.shape[0]
     for m in range(start, n_sub):
@@ -93,23 +96,17 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
         preds[m_idx] = instance.features.matrix[:, list(subset)] @ theta_m
     phase1_queries = len(ledger)
 
+    # each step resumes the scan at the last primary: every alive subset
+    # before it has no gap, and since rivals only die it stays so
     alive = np.ones(len(subsets), dtype=bool)
-    clean = np.zeros(len(subsets), dtype=bool)
+    cursor = 0
     log: list[SubsetStep] = []
     while True:
-        found = None
-        for m in range(len(subsets)):
-            if not alive[m] or clean[m]:
-                continue
-            hit = first_prediction_gap(preds, alive, gap_thr, start=m)
-            if hit is not None and hit[0] == m:
-                found = hit
-                break
-            # rivals only ever die, so this subset stays violation-free
-            clean[m] = True
+        found = first_prediction_gap(preds, alive, gap_thr, start=cursor)
         if found is None:
             break
         m, mp, x = found
+        cursor = m
         reward = query(instance, x, ledger)
         killed = []
         if abs(reward - preds[m, x]) <= kill_thr:

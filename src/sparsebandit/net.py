@@ -130,17 +130,6 @@ def build_separated_net(s: int, epsilon: float, seed: int,
                        s=s, candidate_pool_size=pool_size)
 
 
-def nearest_net_point(net: CoveringNet, x) -> np.ndarray:
-    """Net point minimizing the distance to x; lowest index on ties."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.s,):
-        raise ValidationError(f"query point must have shape ({net.s},)")
-    if net.size == 0:
-        raise ValidationError("net is empty")
-    d2 = np.einsum("ij,ij->i", net.points - x, net.points - x)
-    return net.points[int(np.argmin(d2))]
-
-
 def include_point(net: CoveringNet, v) -> CoveringNet:
     """Net containing v exactly, dropping points within eps/2 of it.
 

@@ -29,10 +29,11 @@ TRIPLE_GUARD = 10 ** 7
 
 @dataclass(frozen=True)
 class CandidateSets:
-    """Initial candidate collection with per-triple action groups.
+    """Initial candidate collection over the triples (M, t, w).
 
     Triple construction order is subset-major: (M, estimator t, anchor w),
-    all lexicographic. Groups are derived on demand from the cached
+    all lexicographic. The triple's group R^w_M(theta_t) is the set of
+    actions x with |P[M, x, t] - W[w, t]| <= eps/2, read off the cached
     projection tensor P[M, x, t] = <x_M, net[t]> and anchor values
     W[w, t] = <net[w], net[t]>.
     """
@@ -59,26 +60,8 @@ class CandidateSets:
     def n_triples(self) -> int:
         return self.n_pairs * self.n_net
 
-    def group(self, m_idx: int, t_idx: int, w_idx: int) -> np.ndarray:
-        """Action indices in the triple's group R^w_M(theta_t)."""
-        vals = self.projections[m_idx, :, t_idx]
-        anchor = self.anchors[w_idx, t_idx]
-        return np.nonzero(np.abs(vals - anchor) <= 0.5 * self.epsilon)[0]
-
     def fresh_alive(self) -> np.ndarray:
         return np.ones((self.n_subsets, self.n_net), dtype=np.uint8)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """First disagreement found in deterministic scan order."""
-
-    m_idx: int
-    t_idx: int
-    w_idx: int
-    rival_m_idx: int
-    rival_t_idx: int
-    action: int
 
 
 @dataclass
@@ -222,9 +205,16 @@ def pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope=None):
 
 
 def _scan(candidates: CandidateSets, alive: np.ndarray, envelope: Envelope,
-          start: int = 0):
+          start: int):
     """First violating (m_idx, t_idx, w, mp, tp, x) whose primary sits at or
-    after flat pair ``start``, or None."""
+    after flat pair ``start``, or None.
+
+    A rival is any surviving family (M', t') distinct from the primary as a
+    pair; two estimators on the same index set do test each other. (The
+    termination guarantee needs the true family admissible as a rival for
+    every survivor, same-support ones included.) Primaries scan by flat pair
+    (M, t), then ``pair_first_violation`` order.
+    """
     n = candidates.n_net
     for pair in range(start, candidates.n_pairs):
         m_idx, t_idx = divmod(pair, n)
@@ -236,23 +226,6 @@ def _scan(candidates: CandidateSets, alive: np.ndarray, envelope: Envelope,
         if hit is not None:
             return (m_idx, t_idx) + hit
     return None
-
-
-def find_violation(candidates: CandidateSets, alive: np.ndarray | None = None):
-    """First violating tuple across all surviving families, or None.
-
-    A rival is any surviving family (M', t') distinct from the primary as a
-    pair; two estimators on the same index set do test each other. (The
-    termination guarantee needs the true family admissible as a rival for
-    every survivor, same-support ones included.)
-
-    Scan order: triples by construction order (M, t, w), rival pairs
-    lexicographic, actions by row.
-    """
-    if alive is None:
-        alive = candidates.fresh_alive()
-    hit = _scan(candidates, alive, Envelope(candidates.projections, alive))
-    return None if hit is None else Violation(*hit)
 
 
 def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,

@@ -55,13 +55,6 @@ class GeneralFeaturesResult:
     elimination: object
 
 
-@dataclass(frozen=True)
-class MergedSetDiagnostic:
-    merged_set: tuple
-    g_value: float
-    bound: float
-
-
 def collect_representatives(features: FeatureMatrix, s: int) -> RepresentativeSet:
     """z design-support rows per size-s subset, z = ceil(4s loglog(max(s,3)) + 16).
 
@@ -179,23 +172,3 @@ def run_general_features(instance: BanditInstance, ledger: QueryLedger, *,
         final_error=uniform_error(instance, rec.theta, range(d)),
         elimination=elim,
     )
-
-
-def merged_set_diagnostic(instance: BanditInstance, theta_hat,
-                          constant: float = 1.0) -> MergedSetDiagnostic:
-    """Bound-tightness report over the union of the recovered and true supports.
-
-    Harness-side only (reads the true support): evaluates the design over the
-    merged restriction and the bound value
-    constant * (s log d)^(1/4) * sqrt(eps) * sqrt(g); the algorithms never
-    consume it.
-    """
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    merged = tuple(sorted(set(np.nonzero(theta_hat)[0].tolist())
-                          | set(instance.theta_star.support)))
-    design = design_for_subset(instance.features.matrix, merged)
-    s, d = instance.s, instance.d
-    bound = constant * (s * math.log(d)) ** 0.25 * math.sqrt(instance.epsilon) \
-        * math.sqrt(design.g_value)
-    return MergedSetDiagnostic(merged_set=merged, g_value=design.g_value,
-                               bound=bound)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsebandit import QueryLedger, cli, random_sparse_instance, save_instance
+from sparsebandit import NoiseModel, QueryLedger, cli, random_sparse_instance, save_instance
 from sparsebandit.cli import (
     CSV_COLUMNS,
     main,
@@ -66,6 +66,25 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     path3 = write_config(tmp_path, "d 3\n", name="c3.txt")
     with pytest.raises(ConfigError, match="algorithm"):
         parse_config(path3)
+
+
+@pytest.mark.parametrize("line,message", [("seeds 0,-1", "seeds must be >= 0"),
+                                          ("pool_size -5", "pool_size must be >= 1")])
+def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys, line, message):
+    out = tmp_path / "bad.csv"
+    path = write_config(tmp_path, f"""algorithm param-elim
+d 3
+s 1
+epsilon 0.5
+k 8
+{line}
+output {out}
+""")
+    with pytest.raises(ConfigError, match=f":6: .*{message}"):
+        parse_config(path)
+    assert main(["run", str(path)]) == 1
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_grid_writes_header_only(tmp_path):
@@ -217,6 +236,25 @@ seeds 0
 output {out}
 """)
     assert main(["run", str(path)]) == 2
+    assert ledger_records == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["param-elim", "design-elim"])
+def test_noisy_instance_is_refused_before_any_query(tmp_path, ledger_records, algorithm):
+    inst_path = tmp_path / "noisy.txt"
+    save_instance(random_sparse_instance(4, 1, 12, 0.3, seed=0,
+                                         noise=NoiseModel("gaussian", 0.1, 0)), inst_path)
+    assert "noise gaussian" in inst_path.read_text()
+    out = tmp_path / "noisy.csv"
+    path = write_config(tmp_path, f"""
+algorithm {algorithm}
+source explicit-file
+instance_file {inst_path}
+seeds 0
+output {out}
+""")
+    assert main(["run", str(path)]) == 3
     assert ledger_records == []
     assert not out.exists()
 

@@ -85,3 +85,47 @@ def test_guard():
     inst = random_sparse_instance(30, 5, 60, 0.1, seed=0)   # C(30,5) = 142,506
     with pytest.raises(GuardExceededError):
         run_design_elimination(inst, QueryLedger())
+
+
+def restart_scan_log(instance, res):
+    """Reference run: each step rescans every alive (m, mp, x) from subset 0
+    with a plain nested loop and applies the same kill rule to predictions
+    rebuilt from the run's phase-1 estimates."""
+    phi = instance.features.matrix
+    preds = np.array([phi[:, list(subset)] @ res.estimates[subset]
+                      for subset in res.subsets])
+    kill_thr = instance.epsilon * (1.0 + math.sqrt(2.0 * instance.s))
+    n_sub = len(res.subsets)
+    alive = [True] * n_sub
+    log = []
+    while True:
+        hit = next(((m, mp, x) for m in range(n_sub) for mp in range(n_sub)
+                    for x in range(instance.k)
+                    if m != mp and alive[m] and alive[mp]
+                    and abs(preds[mp, x] - preds[m, x]) > 2.0 * kill_thr), None)
+        if hit is None:
+            return log
+        m, mp, x = hit
+        reward = float(instance.rewards[x])
+        if abs(reward - preds[m, x]) <= kill_thr:
+            killed = (mp,)
+        elif abs(reward - preds[mp, x]) > kill_thr:
+            killed = (m, mp)
+        else:
+            killed = (m,)
+        for i in killed:
+            alive[i] = False
+        log.append((len(log), x, reward, m, mp, killed))
+
+
+def test_run_matches_a_restart_scan():
+    cases = [(6, 1, 16, 0.1, seed) for seed in (1, 2)]
+    cases += [(6, 2, 20, 0.05, seed) for seed in (0, 1)]
+    cases += [(6, 3, 30, 0.05, 0), (6, 3, 30, 0.05, 2), (7, 3, 30, 0.03, 2)]
+    for d, s, k, eps, seed in cases:
+        inst = random_sparse_instance(d, s, k, eps, seed=seed)
+        res = run_design_elimination(inst, QueryLedger())
+        got = [(e.step, e.action, e.reward, e.primary, e.rival, e.killed)
+               for e in res.log]
+        assert got == restart_scan_log(inst, res)
+        assert len({e.primary for e in res.log}) > 1   # the cursor moved

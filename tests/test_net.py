@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sparsebandit import build_separated_net, include_point, nearest_net_point
+from sparsebandit import build_separated_net, include_point
 from sparsebandit.errors import GuardExceededError, NormBoundError, ValidationError
 from sparsebandit.net import sphere_pool
 
@@ -61,25 +61,6 @@ def test_input_validation():
         build_separated_net(2, 2.5, seed=0)
     with pytest.raises(GuardExceededError):
         build_separated_net(2, 0.5, seed=0, pool_size=10 ** 7)
-
-
-def test_nearest_exact_point_and_sign_rule():
-    net = build_separated_net(1, 1.0, seed=0)
-    assert nearest_net_point(net, [0.3]).tolist() == [1.0]
-    net2 = build_separated_net(2, 0.5, seed=2, pool_size=5_000)
-    p = net2.points[3]
-    assert np.array_equal(nearest_net_point(net2, p), p)
-
-
-def test_nearest_matches_scan_oracle():
-    net = build_separated_net(3, 0.8, seed=4, pool_size=5_000)
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        x = rng.normal(size=3)
-        got = nearest_net_point(net, x)
-        dists = [float(np.linalg.norm(w - x)) for w in net.points]
-        want = net.points[int(np.argmin(dists))]
-        assert np.array_equal(got, want)
 
 
 def test_include_point_noop_when_member():

@@ -16,18 +16,16 @@ from sparsebandit import (
 )
 from sparsebandit.errors import GuardExceededError
 from sparsebandit.param_elim import (
-    Violation,
     build_candidate_sets,
-    find_violation,
     mark_ground_truth,
     run_parameter_elimination,
 )
 
 
-def brute_force_violation(cand, alive=None):
-    """Direct nested-loop scan in the documented order."""
-    if alive is None:
-        alive = cand.fresh_alive()
+def brute_force_violation(cand):
+    """First violating (m, t, w, mp, tp, x) over fresh families by a direct
+    nested-loop scan in the documented order, or None."""
+    alive = cand.fresh_alive()
     h = 0.5 * cand.epsilon
     thr = 2.5 * cand.epsilon
     P, W = cand.projections, cand.anchors
@@ -44,8 +42,23 @@ def brute_force_violation(cand, alive=None):
                             continue
                         for x in range(k):
                             if abs(P[m, x, t] - c) <= h and abs(P[mp, x, tp] - c) > thr:
-                                return Violation(m, t, w, mp, tp, x)
+                                return (m, t, w, mp, tp, x)
     return None
+
+
+def assert_first_step_is_brute_force(instance, net):
+    """The run's first query is the brute-force scan's first violation; with
+    none the run makes no query."""
+    res = run_parameter_elimination(instance, QueryLedger(), net=net)
+    want = brute_force_violation(res.candidates)
+    if want is None:
+        assert res.queries == 0 and res.log == []
+        return None
+    m, t, w, mp, tp, x = want
+    step = res.log[0]
+    assert (step.action, step.primary, step.rival, step.anchor_value) == (
+        x, (m, t), (mp, tp), float(res.candidates.anchors[w, t]))
+    return want
 
 
 def seeded_net_for(instance, seed=0, pool_size=2000):
@@ -78,8 +91,9 @@ def test_group_contains_action_matching_anchor():
                            np.append(inst.misspec, 0.0), inst.epsilon)
     cand2 = build_candidate_sets(inst2.features, net)
     planted = inst2.k - 1
+    P, W = cand2.projections, cand2.anchors
     for t_idx in range(cand2.n_net):
-        assert planted in cand2.group(m_idx, t_idx, w_idx)
+        assert abs(P[m_idx, planted, t_idx] - W[w_idx, t_idx]) <= 0.5 * cand2.epsilon
 
 
 def test_group_membership_matches_direct_scan():
@@ -87,16 +101,19 @@ def test_group_membership_matches_direct_scan():
     net = build_separated_net(2, 0.4, seed=4, pool_size=400)
     cand = build_candidate_sets(inst.features, net)
     h = 0.5 * cand.epsilon
+    P, W = cand.projections, cand.anchors
+    phi = inst.features.matrix
     rng = np.random.default_rng(0)
     for _ in range(30):
         m = int(rng.integers(cand.n_subsets))
         t = int(rng.integers(cand.n_net))
         w = int(rng.integers(cand.n_net))
-        got = set(cand.group(m, t, w).tolist())
-        phi = inst.features.matrix
-        want = {x for x in range(inst.k)
-                if abs(phi[x, list(cand.subsets[m])] @ net.points[t]
-                       - net.points[w] @ net.points[t]) <= h}
+        direct = [phi[x, list(cand.subsets[m])] @ net.points[t] for x in range(inst.k)]
+        anchor = net.points[w] @ net.points[t]
+        assert np.allclose(P[m, :, t], direct, rtol=0.0, atol=1e-12)
+        assert abs(W[w, t] - anchor) <= 1e-12
+        got = set(np.flatnonzero(np.abs(P[m, :, t] - W[w, t]) <= h).tolist())
+        want = {x for x in range(inst.k) if abs(direct[x] - anchor) <= h}
         assert got == want
 
 
@@ -105,34 +122,26 @@ def test_find_violation_none_when_groups_empty():
     inst = build_instance([[0.6]], [0.9], [0.0], 0.5)
     net = build_separated_net(1, 0.5, seed=0)
     cand = build_candidate_sets(inst.features, net)
-    for m in range(cand.n_subsets):
-        for t in range(cand.n_net):
-            for w in range(cand.n_net):
-                assert cand.group(m, t, w).size == 0
-    assert find_violation(cand) is None
+    near = np.abs(cand.projections[..., None] - cand.anchors.T) <= 0.5 * cand.epsilon
+    assert not near.any()    # near[m, x, t, w]: x in the group of (m, t, w)
+    assert assert_first_step_is_brute_force(inst, net) is None
 
 
 def test_find_violation_fires_above_threshold():
     # gap between rival predictions is 1.0 > 5*eps/2 = 0.75
     inst = build_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], [0.0, 0.0], 0.3)
     net = build_separated_net(1, 0.3, seed=0)
-    cand = build_candidate_sets(inst.features, net)
-    got = find_violation(cand)
-    assert got is not None
-    assert got == brute_force_violation(cand)
+    assert assert_first_step_is_brute_force(inst, net) is not None
 
 
 def test_find_violation_matches_brute_force_scan():
     for seed in range(6):
         inst = random_sparse_instance(4, 1, 10, 0.3, seed=seed)
-        net = seeded_net_for(inst, seed=seed)
-        cand = build_candidate_sets(inst.features, net)
-        assert find_violation(cand) == brute_force_violation(cand)
+        assert_first_step_is_brute_force(inst, seeded_net_for(inst, seed=seed))
     for seed in range(3):
         inst = random_sparse_instance(4, 2, 10, 0.7, seed=seed)
-        net = seeded_net_for(inst, seed=seed, pool_size=300)
-        cand = build_candidate_sets(inst.features, net)
-        assert find_violation(cand) == brute_force_violation(cand)
+        assert_first_step_is_brute_force(
+            inst, seeded_net_for(inst, seed=seed, pool_size=300))
 
 
 def restart_scan_log(instance, net):

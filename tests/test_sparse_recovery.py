@@ -11,7 +11,6 @@ from sparsebandit.design import core_set_bound
 from sparsebandit.errors import GuardExceededError, ValidationError
 from sparsebandit.sparse_recovery import (
     collect_representatives,
-    merged_set_diagnostic,
     run_general_features,
     sparse_linf_recover,
 )
@@ -101,29 +100,3 @@ def test_pipeline_error_within_calibrated_bound():
         unit = (2 * math.log(6)) ** 0.25 * math.sqrt(2 * 0.05) + 0.05
         assert res.final_error <= 10 * unit
         assert res.psi_rows == math.comb(6, 2) * 17
-
-
-def test_merged_set_diagnostic_cases():
-    inst = random_sparse_instance(6, 2, 24, 0.05, seed=9)
-    # recovered support equals the truth: merged set collapses
-    diag = merged_set_diagnostic(inst, inst.theta_star.coords)
-    assert diag.merged_set == inst.theta_star.support
-    assert diag.g_value <= 2 * 2 * (1 + 1e-6)
-    # disjoint supports: union of size 2s
-    other = np.zeros(6)
-    others = [i for i in range(6) if i not in inst.theta_star.support][:2]
-    other[others] = 0.5
-    diag2 = merged_set_diagnostic(inst, other)
-    assert len(diag2.merged_set) == 4
-    assert diag2.g_value <= 2 * 4 * (1 + 1e-6)
-    # bound scales like sqrt(g)
-    ratio = diag.bound / math.sqrt(diag.g_value)
-    ratio2 = diag2.bound / math.sqrt(diag2.g_value)
-    assert ratio == pytest.approx(ratio2, rel=1e-12)
-
-
-def test_pipeline_bound_dominates_error_with_diagnostic_constant():
-    inst = random_sparse_instance(6, 2, 24, 0.05, seed=11)
-    res = run_general_features(inst, QueryLedger())
-    diag = merged_set_diagnostic(inst, res.theta_hat, constant=10.0)
-    assert res.final_error <= diag.bound + inst.epsilon * 10
