@@ -34,7 +34,6 @@ from .hardness import (
     HardMatrixSpec,
     embed_index_query,
     generate_validated,
-    hardness_probe,
     k_threshold,
     normalize_and_validate,
     random_search,

@@ -30,8 +30,8 @@ comment. List-valued keys take comma-separated entries without spaces.
     measure_time 1 to record real wall-clock times in the CSV; the default 0
                  keeps output byte-reproducible
     output       CSV path (default experiment.csv)
-    log_output   optional CSV path for per-step detail rows (elimination
-                 steps, per-round records, pipeline summaries)
+    log_output   optional CSV path for detail rows: one per learner event
+                 (kind elimination or round), then one summary per run
 
 CSV columns, fixed order: algorithm, d, s, epsilon, k, seed, queries,
 uniform_error, suboptimality, bound, bound_satisfied, wall_ms. Exit codes:
@@ -128,13 +128,16 @@ class RunRecord:
     wall_ms: int
 
     def row(self):
-        def fmt(x):
-            if isinstance(x, bool):
-                return "true" if x else "false"
-            if isinstance(x, float):
-                return f"{x:.17g}"
-            return str(x)
-        return [fmt(getattr(self, col)) for col in CSV_COLUMNS]
+        return [_fmt(getattr(self, col)) for col in CSV_COLUMNS]
+
+
+def _fmt(x):
+    """One spelling for every CSV value: .17g reals, true/false."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
 
 
 _INT_LIST = {"d", "s", "k", "seeds"}
@@ -143,6 +146,7 @@ _FLOATS = {"c_const", "c_jl", "c", "tau", "hard_delta", "kappa"}
 _INTS = {"i_star", "budget", "pool_size"}
 _BOOLS = {"seed_net", "measure_time"}
 _STRINGS = {"source", "instance_file", "output", "log_output"}
+_POSITIVE = {"epsilon", "delta", "c_const", "c_jl", "kappa"}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -203,6 +207,8 @@ def parse_config(path) -> ExperimentConfig:
                 setattr(cfg, key, value)
             else:
                 raise ValueError("unknown key")
+            if key in _POSITIVE and not np.all(np.asarray(getattr(cfg, key)) > 0):
+                raise ValueError(f"{key} must be > 0")
         except ValueError as exc:
             raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
 
@@ -222,14 +228,21 @@ def _grid(cfg: ExperimentConfig):
                             yield d, s, eps, k, delta, seed
 
 
+def _hard_instance(cfg, d, s, eps, k, delta, seed):
+    """Validated hard matrix with the hidden index embedded; returns
+    (instance, attempts, rejection reports)."""
+    spec = HardMatrixSpec(d=d, s=s, epsilon=eps, tau=cfg.tau,
+                          delta=cfg.hard_delta, seed=seed,
+                          k=k if k > 0 else None, c=cfg.c)
+    features, attempts, reports = generate_validated(spec)
+    instance = embed_index_query(features, cfg.i_star, delta,
+                                 epsilon=2.0 * delta * eps)
+    return instance, attempts, reports
+
+
 def _build_point_instance(cfg, d, s, eps, k, delta, seed):
     if cfg.source == "hard-instance":
-        spec = HardMatrixSpec(d=d, s=s, epsilon=eps, tau=cfg.tau,
-                              delta=cfg.hard_delta, seed=seed,
-                              k=k if k > 0 else None, c=cfg.c)
-        features, _, _ = generate_validated(spec)
-        return embed_index_query(features, cfg.i_star, delta,
-                                 epsilon=2.0 * delta * eps)
+        return _hard_instance(cfg, d, s, eps, k, delta, seed)[0]
     return random_sparse_instance(d, s, k, eps, seed)
 
 
@@ -272,9 +285,16 @@ def check_guards(cfg: ExperimentConfig):
     return prepared, violations
 
 
-def _payload(**fields):
-    return ";".join(f"{key}={value:.17g}" if isinstance(value, float)
-                    else f"{key}={value}" for key, value in fields.items())
+def _payload(fields):
+    return ";".join(f"{key}={_fmt(value)}" for key, value in fields.items())
+
+
+def _details(log, **summary):
+    """Detail rows (kind, step, payload): one per event of the learner's log,
+    then the run's summary at step len(log)."""
+    rows = [(e.kind, e.step, _payload(e.fields)) for e in log]
+    rows.append(("summary", len(log), _payload(summary)))
+    return rows
 
 
 # Runner table: each entry runs one algorithm on a prepared point and returns
@@ -284,13 +304,9 @@ def _payload(**fields):
 def _run_param_elim(cfg, point, instance, net, ledger):
     res = run_parameter_elimination(instance, ledger, net=net)
     preds = instance.features.matrix[:, list(res.index_set)] @ res.theta_hat
-    details = [("elimination", e.step, _payload(
-        action=e.action, reward=e.reward, anchor=e.anchor_value,
-        primary=e.primary, rival=e.rival, killed=e.killed)) for e in res.log]
-    details.append(("summary", len(res.log), _payload(
-        triples_initial=res.initial_triples,
-        triples_remaining=res.remaining_triples,
-        queries=res.queries, final_error=res.final_error)))
+    details = _details(res.log, triples_initial=res.initial_triples,
+                       triples_remaining=res.remaining_triples,
+                       queries=res.queries, final_error=res.final_error)
     return res.final_error, int(np.argmax(preds)), 4.0 * instance.epsilon, details
 
 
@@ -298,12 +314,9 @@ def _run_design_elim(cfg, point, instance, net, ledger):
     res = run_design_elimination(instance, ledger)
     preds = instance.features.matrix[:, list(res.index_set)] @ res.theta_hat
     bound = 3.0 * instance.epsilon * (1.0 + math.sqrt(2.0 * instance.s))
-    details = [("elimination", e.step, _payload(
-        action=e.action, reward=e.reward, primary=e.primary, rival=e.rival,
-        killed=e.killed)) for e in res.log]
-    details.append(("summary", len(res.log), _payload(
-        queries=res.queries, phase1_queries=res.phase1_queries,
-        final_error=res.final_error)))
+    details = _details(res.log, queries=res.queries,
+                       phase1_queries=res.phase1_queries,
+                       final_error=res.final_error)
     return res.final_error, int(np.argmax(preds)), bound, details
 
 
@@ -316,13 +329,9 @@ def _run_benign_elim(cfg, point, instance, net, ledger):
     preds = cmap.apply(instance.features.matrix)[res.surviving] @ res.theta_f
     bound = cfg.kappa * (math.log(instance.k) ** 0.25
                          * math.sqrt(instance.epsilon) + instance.epsilon)
-    details = [("round", r.round, _payload(
-        active_before=r.active_before, active_after=r.active_after,
-        threshold=r.threshold, cumulative_queries=r.cumulative_queries))
-        for r in res.log]
-    details.append(("summary", res.rounds, _payload(
-        queries=res.queries, surviving=len(res.surviving),
-        soundness_ok=res.soundness_ok, final_error=err)))
+    details = _details(res.log, queries=res.queries,
+                       surviving=len(res.surviving),
+                       soundness_ok=res.soundness_ok, final_error=err)
     return err, int(res.surviving[int(np.argmax(preds))]), bound, details
 
 
@@ -333,12 +342,12 @@ def _run_general_features(cfg, point, instance, net, ledger):
     bound = cfg.kappa * ((instance.s * math.log(instance.d)) ** 0.25
                          * math.sqrt(instance.s * instance.epsilon)
                          + instance.epsilon)
-    details = [("summary", 0, _payload(
-        phi=res.phi, q=res.q, psi_rows=res.psi_rows,
+    details = _details(
+        [], phi=res.phi, q=res.q, psi_rows=res.psi_rows,
         recovery_objective=res.recovery_objective,
         support="|".join(str(i) for i in res.recovered_support),
         error=res.final_error, bound=bound, queries=res.queries,
-        map_seed=res.map_seed))]
+        map_seed=res.map_seed)
     return res.final_error, int(np.argmax(preds)), bound, details
 
 
@@ -379,32 +388,27 @@ def run_experiment(cfg: ExperimentConfig):
             k=instance.k, seed=seed, queries=len(ledger), uniform_error=err,
             suboptimality=subopt, bound=bound, bound_satisfied=bool(satisfied),
             wall_ms=wall_ms))
-        prefix = [alg, instance.d, instance.s, f"{instance.epsilon:.17g}",
+        prefix = [alg, instance.d, instance.s, _fmt(instance.epsilon),
                   instance.k, seed]
         details.extend(prefix + list(row) for row in rows)
     if cfg.log_output:
-        write_detail_csv(details, cfg.log_output)
+        _write_rows(cfg.log_output, DETAIL_COLUMNS, details)
     return records
-
-
-def write_csv(records, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for record in records:
-            writer.writerow(record.row())
 
 
 DETAIL_COLUMNS = ("algorithm", "d", "s", "epsilon", "k", "seed", "kind",
                   "step", "payload")
 
 
-def write_detail_csv(rows, path):
+def _write_rows(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(DETAIL_COLUMNS)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_csv(records, path):
+    _write_rows(path, CSV_COLUMNS, (record.row() for record in records))
 
 
 def validate_instance_file(path):
@@ -437,26 +441,15 @@ def validate_instance_file(path):
 
 
 def generate_hard_file(cfg: ExperimentConfig, out_path):
-    d, s = cfg.d[0], cfg.s[0]
-    eps, delta, seed = cfg.epsilon[0], cfg.delta[0], cfg.seeds[0]
-    k = cfg.k[0]
-    spec = HardMatrixSpec(d=d, s=s, epsilon=eps, tau=cfg.tau,
-                          delta=cfg.hard_delta, seed=seed,
-                          k=k if k > 0 else None, c=cfg.c)
-    features, attempts, reports = generate_validated(spec)
-    instance = embed_index_query(features, cfg.i_star, delta,
-                                 epsilon=2.0 * delta * eps)
+    """Generate the grid's first point as a hard instance and save it, with
+    one rejection report per attempt beside it."""
+    instance, attempts, reports = _hard_instance(cfg, *next(_grid(cfg)))
     save_instance(instance, out_path)
-    with open(f"{out_path}.rejections.csv", "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("seed", "norm_failures", "sparsity_failures",
-                         "pairwise_failures", "accepted"))
-        for report in reports:
-            writer.writerow((report.seed, report.norm_failures,
-                             report.sparsity_failures,
-                             report.pairwise_failures,
-                             "true" if report.accepted else "false"))
+    _write_rows(f"{out_path}.rejections.csv",
+                ("seed", "norm_failures", "sparsity_failures",
+                 "pairwise_failures", "accepted"),
+                ((r.seed, r.norm_failures, r.sparsity_failures,
+                  r.pairwise_failures, _fmt(r.accepted)) for r in reports))
     return instance, attempts
 
 

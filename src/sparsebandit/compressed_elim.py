@@ -18,18 +18,7 @@ import numpy as np
 from .compression import CompressionMap
 from .design import frank_wolfe_design
 from .errors import ValidationError
-from .model import BanditInstance, QueryLedger, query
-
-
-@dataclass
-class RoundRecord:
-    round: int
-    active_before: int
-    active_after: int
-    threshold: float
-    support_size: int
-    cumulative_queries: int
-    best_survived: bool | None   # None when the soundness premise fails
+from .model import BanditInstance, Event, QueryLedger, query
 
 
 @dataclass
@@ -80,7 +69,7 @@ def run_benign_elimination(instance: BanditInstance, cmap: CompressionMap,
     theta_f = np.zeros(cmap.p)
     theta_first = None
     used = 0
-    log: list[RoundRecord] = []
+    log: list[Event] = []
     soundness_ok = True
     threshold = noiseless_threshold(C_const, k_eff, eps)
 
@@ -118,18 +107,13 @@ def run_benign_elimination(instance: BanditInstance, cmap: CompressionMap,
         # its reward, the top reward cannot be eliminated
         truth = instance.rewards[row_indices[active]]
         worst = float(np.max(np.abs(truth - preds)))
-        best_survived = None
-        if 2.0 * worst <= threshold:
-            best_positions = np.nonzero(truth == truth.max())[0]
-            best_survived = bool(keep[best_positions].any())
-            if not best_survived:
-                soundness_ok = False
+        if 2.0 * worst <= threshold and not keep[truth == truth.max()].any():
+            soundness_ok = False
 
         new_active = active[keep]
-        log.append(RoundRecord(
-            round=round_idx, active_before=active.size, active_after=new_active.size,
-            threshold=threshold, support_size=support_size,
-            cumulative_queries=used, best_survived=best_survived))
+        log.append(Event("round", round_idx, {
+            "active_before": active.size, "active_after": new_active.size,
+            "threshold": threshold, "cumulative_queries": used}))
         stalled = new_active.size == active.size
         active = new_active
         round_idx += 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .design import core_set_bound, design_for_subset, estimate_parameter
 from .errors import EmptySurvivorError, GuardExceededError, ValidationError
-from .model import BanditInstance, QueryLedger, query, uniform_error
+from .model import BanditInstance, Event, QueryLedger, query, uniform_error
 from .param_elim import subsets_of_size
 
 SUBSET_GUARD = 10 ** 5
@@ -30,16 +30,6 @@ def check_subset_guard(d: int, s: int) -> None:
     if n_subsets > SUBSET_GUARD:
         raise GuardExceededError(
             f"{n_subsets} subsets exceed the desk-scale guard {SUBSET_GUARD}")
-
-
-@dataclass
-class SubsetStep:
-    step: int
-    action: int
-    reward: float
-    primary: int        # subset index
-    rival: int
-    killed: tuple       # subset indices removed this step
 
 
 @dataclass
@@ -100,7 +90,7 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
     # before it has no gap, and since rivals only die it stays so
     alive = np.ones(len(subsets), dtype=bool)
     cursor = 0
-    log: list[SubsetStep] = []
+    log: list[Event] = []
     while True:
         found = first_prediction_gap(preds, alive, gap_thr, start=cursor)
         if found is None:
@@ -118,8 +108,9 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
             if abs(reward - preds[mp, x]) > kill_thr:
                 alive[mp] = False
                 killed.append(mp)
-        log.append(SubsetStep(step=len(log), action=x, reward=reward,
-                              primary=m, rival=mp, killed=tuple(killed)))
+        log.append(Event("elimination", len(log), {
+            "action": x, "reward": reward, "primary": m, "rival": mp,
+            "killed": tuple(killed)}))
 
     if not alive.any():
         raise EmptySurvivorError(

@@ -232,32 +232,3 @@ def random_search(instance: BanditInstance, seed: int,
         if int(idx) == best:
             return count, best
     raise AssertionError("unreachable: permutation covers all actions")
-
-
-@dataclass(frozen=True)
-class ProbeRecord:
-    k: int
-    queries: int
-    suboptimality: float
-    hit_optimum: bool
-
-
-def hardness_probe(instances, runner) -> list:
-    """Query counts of `runner` across an instance family.
-
-    runner(instance, ledger) must return the index of its chosen action;
-    the probe records the ledger length and the chosen action's regret.
-    """
-    records = []
-    for instance in instances:
-        ledger = QueryLedger()
-        chosen = int(runner(instance, ledger))
-        _, best_val = brute_force_best(instance)
-        subopt = best_val - float(instance.rewards[chosen])
-        records.append(ProbeRecord(
-            k=instance.k,
-            queries=len(ledger),
-            suboptimality=subopt,
-            hit_optimum=subopt == 0.0,
-        ))
-    return records

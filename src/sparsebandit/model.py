@@ -127,6 +127,16 @@ class QueryLedger:
 
 
 @dataclass(frozen=True)
+class Event:
+    """One learner step: its kind ("elimination" or "round"), its 0-based
+    step number, and its fields in the order the detail CSV prints them."""
+
+    kind: str
+    step: int
+    fields: dict
+
+
+@dataclass(frozen=True)
 class BanditInstance:
     """Deterministic reward table r_i = <row_i, theta*> + misspec_i.
 

@@ -50,10 +50,6 @@ class CoveringNet:
     def size(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def size_bound(self) -> float:
-        return (4.0 / (2.0 * self.separation) + 1.0) ** self.s
-
 
 def sphere_pool(s: int, size: int, seed: int) -> np.ndarray:
     """Deterministic pool of uniform unit vectors (normalized Gaussians)."""

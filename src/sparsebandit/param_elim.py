@@ -21,7 +21,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptySurvivorError, GuardExceededError, ValidationError
-from .model import BanditInstance, FeatureMatrix, QueryLedger, query, uniform_error
+from .model import (BanditInstance, Event, FeatureMatrix, QueryLedger, query,
+                    uniform_error)
 from .net import CoveringNet
 
 TRIPLE_GUARD = 10 ** 7
@@ -62,17 +63,6 @@ class CandidateSets:
 
     def fresh_alive(self) -> np.ndarray:
         return np.ones((self.n_subsets, self.n_net), dtype=np.uint8)
-
-
-@dataclass
-class EliminationStep:
-    step: int
-    action: int
-    reward: float
-    anchor_value: float
-    primary: tuple      # (m_idx, t_idx)
-    rival: tuple        # (m_idx, t_idx)
-    killed: str         # "primary" | "rival"
 
 
 @dataclass
@@ -251,7 +241,7 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
     envelope = Envelope(cand.projections, alive)
     n = cand.n_net
     cursor = 0
-    log: list[EliminationStep] = []
+    log: list[Event] = []
 
     max_steps = cand.n_pairs + 1
     for _ in range(max_steps):
@@ -269,9 +259,9 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
             alive[mp, tp] = 0
             killed = "rival"
         envelope.refresh(alive)
-        log.append(EliminationStep(
-            step=len(log), action=x, reward=reward, anchor_value=anchor_value,
-            primary=(m_idx, t_idx), rival=(mp, tp), killed=killed))
+        log.append(Event("elimination", len(log), {
+            "action": x, "reward": reward, "anchor": anchor_value,
+            "primary": (m_idx, t_idx), "rival": (mp, tp), "killed": killed}))
 
     survivors = np.argwhere(alive == 1)
     if survivors.size == 0:

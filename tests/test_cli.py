@@ -1,5 +1,6 @@
 """Tests for the experiment harness CLI."""
 
+import csv
 import math
 
 import numpy as np
@@ -69,22 +70,45 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
 
 
 @pytest.mark.parametrize("line,message", [("seeds 0,-1", "seeds must be >= 0"),
-                                          ("pool_size -5", "pool_size must be >= 1")])
+                                          ("pool_size -5", "pool_size must be >= 1"),
+                                          ("epsilon -1", "epsilon must be > 0"),
+                                          ("delta 0.5,-1", "delta must be > 0"),
+                                          ("kappa -1", "kappa must be > 0"),
+                                          ("c_const 0", "c_const must be > 0"),
+                                          ("c_jl -1", "c_jl must be > 0")])
 def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys, line, message):
     out = tmp_path / "bad.csv"
-    path = write_config(tmp_path, f"""algorithm param-elim
-d 3
-s 1
-epsilon 0.5
-k 8
-{line}
-output {out}
-""")
-    with pytest.raises(ConfigError, match=f":6: .*{message}"):
+    lines = ["algorithm param-elim", "d 3", "s 1", "epsilon 0.5", "k 8", line,
+             f"output {out}"]
+    if line.startswith("epsilon "):
+        lines.remove("epsilon 0.5")
+    path = write_config(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f":{lines.index(line) + 1}: .*{message}"):
         parse_config(path)
     assert main(["run", str(path)]) == 1
     assert "config error: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm,lines,message", [
+    ("benign-elim", "d 4\ns 1\nbudget 0", "query budget must be at least 1"),
+    ("general-features", "d 1\ns 1", "pipeline needs at least two feature dimensions"),
+])
+def test_learner_refusal_exits_3_before_any_query(tmp_path, capsys, ledger_records,
+                                                  algorithm, lines, message):
+    out, log = tmp_path / "inv.csv", tmp_path / "inv.detail.csv"
+    path = write_config(tmp_path, f"""algorithm {algorithm}
+{lines}
+epsilon 0.3
+k 12
+seeds 0
+output {out}
+log_output {log}
+""")
+    assert main(["run", str(path)]) == 3
+    assert message in capsys.readouterr().err
+    assert ledger_records == []
+    assert not out.exists() and not log.exists()
 
 
 def test_empty_grid_writes_header_only(tmp_path):
@@ -240,7 +264,7 @@ output {out}
     assert not out.exists()
 
 
-@pytest.mark.parametrize("algorithm", ["param-elim", "design-elim"])
+@pytest.mark.parametrize("algorithm", ["param-elim", "design-elim", "random-baseline"])
 def test_noisy_instance_is_refused_before_any_query(tmp_path, ledger_records, algorithm):
     inst_path = tmp_path / "noisy.txt"
     save_instance(random_sparse_instance(4, 1, 12, 0.3, seed=0,
@@ -432,6 +456,52 @@ log_output {log}
     assert rows[0].startswith("algorithm,d,s,epsilon,k,seed,kind,step,payload")
     kinds = {r.split(",")[6] for r in rows[1:]}
     assert "summary" in kinds
+
+
+# per algorithm: event kind, event payload keys, summary payload keys
+DETAIL_SHAPES = {
+    "param-elim": ("elimination",
+                   ("action", "reward", "anchor", "primary", "rival", "killed"),
+                   ("triples_initial", "triples_remaining", "queries", "final_error")),
+    "design-elim": ("elimination", ("action", "reward", "primary", "rival", "killed"),
+                    ("queries", "phase1_queries", "final_error")),
+    "benign-elim": ("round",
+                    ("active_before", "active_after", "threshold", "cumulative_queries"),
+                    ("queries", "surviving", "soundness_ok", "final_error")),
+    "general-features": (None, (),
+                         ("phi", "q", "psi_rows", "recovery_objective", "support",
+                          "error", "bound", "queries", "map_seed")),
+}
+
+
+def test_detail_log_shape_for_every_algorithm(tmp_path):
+    log = tmp_path / "detail.csv"
+    path = write_config(tmp_path, f"""
+algorithm {",".join(cli.ALGORITHMS)}
+d 4
+s 1
+epsilon 0.1
+k 12
+seeds 3
+output {tmp_path / "r.csv"}
+log_output {log}
+""")
+    assert main(["sweep", str(path)]) == 0
+    with open(log, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    by_alg = {}
+    for row in rows:
+        by_alg.setdefault(row["algorithm"], []).append(row)
+    assert set(by_alg) == set(DETAIL_SHAPES)   # random-baseline logs no rows
+    for alg, (kind, event_keys, summary_keys) in DETAIL_SHAPES.items():
+        got = by_alg[alg]
+        n = len(got) - 1
+        assert (n > 0) == (kind is not None), alg
+        assert [r["kind"] for r in got] == [kind] * n + ["summary"], alg
+        assert [int(r["step"]) for r in got] == list(range(n + 1)), alg
+        payloads = [dict(f.split("=", 1) for f in r["payload"].split(";")) for r in got]
+        assert [tuple(p) for p in payloads] == [event_keys] * n + [summary_keys], alg
+        assert payloads[-1].get("soundness_ok", "true") in ("true", "false")
 
 
 def test_generate_hard_writes_rejection_reports(tmp_path):

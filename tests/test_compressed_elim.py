@@ -45,7 +45,8 @@ def test_budget_compliance_and_monotone_active():
     res = run_benign_elimination(inst, cmap, n=60, ledger=ledger)
     assert res.queries <= 60
     assert res.queries == len(ledger)
-    sizes = [r.active_before for r in res.log] + [res.log[-1].active_after]
+    sizes = ([r.fields["active_before"] for r in res.log]
+             + [res.log[-1].fields["active_after"]])
     assert all(b <= a for a, b in zip(sizes, sizes[1:]))
 
 
@@ -69,7 +70,7 @@ def test_noisy_run_stays_within_budget_and_uses_noisy_threshold():
     assert res.queries <= 300
     noiseless = 2.0 * math.log(30) ** 0.25 * math.sqrt(0.1)
     assert res.final_threshold > noiseless
-    assert all(r.threshold > noiseless for r in res.log)
+    assert all(r.fields["threshold"] > noiseless for r in res.log)
 
 
 def test_row_indices_restriction_and_repeats():

@@ -16,7 +16,6 @@ from sparsebandit.hardness import (
     c_prime,
     embed_index_query,
     generate_validated,
-    hardness_probe,
     k_threshold,
     normalize_and_validate,
     random_search,
@@ -224,21 +223,3 @@ def test_random_search_mean_matches_closed_form():
     counts = [random_search(inst, seed=trial)[0] for trial in range(400)]
     mean = float(np.mean(counts))
     assert abs(mean - (inst.k + 1) / 2) <= 0.1 * (inst.k + 1) / 2
-
-
-def test_hardness_probe_records_uniform_searcher():
-    specs = [HardMatrixSpec(d=64, s=8, epsilon=0.5, tau=0.95, delta=0.25,
-                            seed=s0, k=k) for s0, k in ((0, 2), (0, 3), (10, 4))]
-    instances = []
-    for spec in specs:
-        features, _, _ = generate_validated(spec)
-        instances.append(embed_index_query(features, 0, 0.5, 0.5))
-
-    def runner(instance, ledger):
-        _, best = random_search(instance, seed=7, ledger=ledger)
-        return best
-
-    records = hardness_probe(instances, runner)
-    assert [r.k for r in records] == [2, 3, 4]
-    assert all(r.hit_optimum for r in records)
-    assert all(r.queries >= 1 for r in records)

@@ -1,6 +1,7 @@
 """Tests for the parameter-elimination algorithm."""
 
 import math
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -55,8 +56,8 @@ def assert_first_step_is_brute_force(instance, net):
         assert res.queries == 0 and res.log == []
         return None
     m, t, w, mp, tp, x = want
-    step = res.log[0]
-    assert (step.action, step.primary, step.rival, step.anchor_value) == (
+    step = res.log[0].fields
+    assert (step["action"], step["primary"], step["rival"], step["anchor"]) == (
         x, (m, t), (mp, tp), float(res.candidates.anchors[w, t]))
     return want
 
@@ -176,10 +177,11 @@ def test_run_matches_a_restart_scan():
     cases += [(random_sparse_instance(4, 2, 12, 0.6, seed=seed), seed, 300)
               for seed in range(3)]
     cases.append((random_sparse_instance(5, 2, 16, 0.4, seed=7), 7, 600))
+    pick = itemgetter("action", "primary", "rival", "killed")
     for inst, seed, pool in cases:
         net = seeded_net_for(inst, seed=seed, pool_size=pool)
         res = run_parameter_elimination(inst, QueryLedger(), net=net)
-        got = [(e.action, e.primary, e.rival, e.killed) for e in res.log]
+        got = [pick(e.fields) for e in res.log]
         assert got == restart_scan_log(inst, net)
         assert len(got) > 0
 
@@ -238,7 +240,7 @@ def test_run_is_deterministic():
     net = seeded_net_for(inst, seed=2)
     r1 = run_parameter_elimination(inst, QueryLedger(), net=net)
     r2 = run_parameter_elimination(inst, QueryLedger(), net=net)
-    assert [(e.action, e.killed) for e in r1.log] == [(e.action, e.killed) for e in r2.log]
+    assert r1.log == r2.log
     assert r1.index_set == r2.index_set
     assert np.array_equal(r1.theta_hat, r2.theta_hat)
 
