@@ -56,6 +56,7 @@ from .errors import (
     ConfigError,
     GuardExceededError,
     OverflowGuardError,
+    RetriesExhaustedError,
     SparseBanditError,
 )
 from .hardness import (
@@ -442,15 +443,24 @@ def validate_instance_file(path):
 
 def generate_hard_file(cfg: ExperimentConfig, out_path):
     """Generate the grid's first point as a hard instance and save it, with
-    one rejection report per attempt beside it."""
-    instance, attempts, reports = _hard_instance(cfg, *next(_grid(cfg)))
+    one rejection report per attempt beside it. When no attempt validates,
+    the reports are written and the error is raised again."""
+    try:
+        instance, attempts, reports = _hard_instance(cfg, *next(_grid(cfg)))
+    except RetriesExhaustedError as exc:
+        _write_rejections(out_path, exc.reports)
+        raise
     save_instance(instance, out_path)
+    _write_rejections(out_path, reports)
+    return instance, attempts
+
+
+def _write_rejections(out_path, reports):
     _write_rows(f"{out_path}.rejections.csv",
                 ("seed", "norm_failures", "sparsity_failures",
                  "pairwise_failures", "accepted"),
                 ((r.seed, r.norm_failures, r.sparsity_failures,
                   r.pairwise_failures, _fmt(r.accepted)) for r in reports))
-    return instance, attempts
 
 
 def main(argv=None) -> int:

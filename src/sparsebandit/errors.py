@@ -38,7 +38,12 @@ class CertificationError(SparseBanditError):
 
 
 class RetriesExhaustedError(SparseBanditError):
-    """Seeded regeneration failed for every retry; details carry the reports."""
+    """Seeded regeneration failed for every retry; ``reports`` holds one
+    rejection report per attempt."""
+
+    def __init__(self, message, reports=()):
+        super().__init__(message)
+        self.reports = list(reports)
 
 
 class OverflowGuardError(SparseBanditError):

@@ -158,8 +158,9 @@ def normalize_and_validate(raw: np.ndarray, spec: HardMatrixSpec,
 def generate_validated(spec: HardMatrixSpec, max_retries: int = 100):
     """Retry seeds spec.seed, spec.seed+1, ... until a matrix certifies.
 
-    Returns (features, attempts, reports); raises with the collected
-    rejection reports when every retry fails.
+    Returns (features, attempts, reports); when every retry fails, raises
+    RetriesExhaustedError with the collected rejection reports as
+    ``reports``.
     """
     reports = []
     for attempt in range(max_retries):
@@ -173,7 +174,7 @@ def generate_validated(spec: HardMatrixSpec, max_retries: int = 100):
         f"no validated matrix within {max_retries} retries; failure counts "
         f"(norm/sparsity/pairwise) of the last report: "
         f"{reports[-1].norm_failures}/{reports[-1].sparsity_failures}/"
-        f"{reports[-1].pairwise_failures}")
+        f"{reports[-1].pairwise_failures}", reports=reports)
 
 
 def embed_index_query(features: FeatureMatrix, i_star: int, delta_gap: float,

@@ -11,12 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import GuardExceededError, NormBoundError, ValidationError
 from .model import NORM_TOL
 
 POOL_CAP = 10 ** 6
 POOL_FACTOR = 200
+# relative half-width of the distance band that greedy_pack re-tests exactly;
+# far wider than the KD-tree's ~1e-15 rounding
+PACK_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,16 @@ def greedy_pack(pool, min_sep):
     Walks the candidate rows of ``pool`` in order and accepts a candidate iff
     its squared Euclidean distance to every previously accepted candidate is
     >= min_sep**2. Returns the accepted row indices (int64, ascending).
+
+    The pool is taken in chunks of 4096 rows. Against the points accepted in
+    earlier chunks, a KD-tree gives each candidate its nearest distance. That
+    distance is within a relative ~1e-15 of the exact sqrt(sum (a-b)**2), so
+    a candidate nearer than min_sep*(1-PACK_BAND) is blocked, and one with no
+    accepted point within min_sep*(1+PACK_BAND) is not, just as the exact
+    test decides. Only the rare candidates inside that band get the exact
+    squared-distance test against every accepted point, so the accepted
+    indices are those of the direct scan. Within a chunk, each accepted
+    candidate blocks its neighbours by the exact test.
     """
     pool = np.ascontiguousarray(pool, dtype=np.float64)
     m = pool.shape[0]
@@ -78,17 +92,19 @@ def greedy_pack(pool, min_sep):
     chunk = 4096
     for start in range(0, m, chunk):
         block = pool[start:start + chunk]
-        b = block.shape[0]
         if accepted:
             acc = pool[accepted]
-            diff = block[:, None, :] - acc[None, :, :]
-            min_d2 = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
-            blocked = min_d2 < sep2
+            dist, _ = cKDTree(acc).query(
+                block, distance_upper_bound=min_sep * (1.0 + PACK_BAND))
+            blocked = dist < min_sep * (1.0 - PACK_BAND)
+            band = np.flatnonzero(~blocked & np.isfinite(dist))
+            diff = block[band][:, None, :] - acc[None, :, :]
+            blocked[band] = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1) < sep2
         else:
-            blocked = np.zeros(b, dtype=bool)
+            blocked = np.zeros(block.shape[0], dtype=bool)
         # an accepted candidate blocks its in-block neighbours; acceptances
         # are rare, so one vector update per accept keeps the loop scalar
-        for i in range(b):
+        for i in np.flatnonzero(~blocked):
             if blocked[i]:
                 continue
             accepted.append(start + i)

@@ -525,6 +525,26 @@ seeds 0
     assert lines[-1].endswith("true")
 
 
+def test_generate_hard_writes_rejection_reports_when_retries_run_out(tmp_path):
+    out = tmp_path / "hard.txt"
+    path = write_config(tmp_path, """
+algorithm random-baseline
+source hard-instance
+d 16
+s 4
+epsilon 0.3
+k 60
+tau 0.05
+seeds 1
+""")
+    assert main(["generate-hard", str(path), str(out)]) == 3
+    assert not out.exists()
+    with open(tmp_path / "hard.txt.rejections.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["seed"]) for r in rows] == list(range(1, 101))
+    assert all(r["accepted"] == "false" for r in rows)
+
+
 def test_wall_ms_deterministic_by_default(tmp_path):
     out = tmp_path / "t.csv"
     path = write_config(tmp_path, f"""

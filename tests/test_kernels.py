@@ -15,6 +15,41 @@ def test_greedy_pack_matches_oracle():
             pool = sphere_pool(s, 4000, seed=trial)
             sep = float(rng.uniform(0.05, 0.8))
             assert np.array_equal(greedy_pack(pool, sep), greedy_pack_oracle(pool, sep))
+    # pools of several 4096-point chunks reach the step against earlier chunks
+    for s, seps in ((1, (0.5, 2.0)), (2, (0.05, 0.2, 0.7)), (3, (0.1, 0.3, 0.9))):
+        pool = sphere_pool(s, 10_000, seed=s)
+        for sep in seps:
+            assert np.array_equal(greedy_pack(pool, sep), greedy_pack_oracle(pool, sep))
+
+
+def test_greedy_pack_decides_the_distance_band_exactly():
+    """Later-chunk candidates at distance sep*(1 +- delta) from the origin,
+    which chunk 0 accepts, each on its own pair of axes so that they are more
+    than sep apart from each other. Besides delta from 1e-10 down to 1e-15,
+    the squared distance steps one ulp at a time across sep**2: a candidate
+    one ulp below it has a square root that rounds to sep, so only the exact
+    squared test blocks it."""
+    sep = 0.3
+    sep2 = sep * sep
+    offsets = [(sep * (1 + sign * 10.0 ** -e), 0.0)
+               for e in range(10, 16) for sign in (1, -1)]
+    major = sep * (1 - 1e-14)
+    d2 = sep2
+    for _ in range(3):
+        d2 = np.nextafter(d2, 0.0)
+    for _ in range(7):
+        offsets.append((major, np.sqrt(d2 - major * major)))
+        d2 = np.nextafter(d2, 1.0)
+    n = len(offsets)
+    candidates = np.zeros((n, 2 * n))
+    for j, (a, b) in enumerate(offsets):
+        candidates[j, 2 * j:2 * j + 2] = a, b
+    dist2 = (candidates ** 2).sum(axis=1)
+    assert ((dist2 < sep2) & (np.sqrt(dist2) >= sep)).any()
+    pool = np.vstack([np.zeros((4096, 2 * n)), candidates])
+    want = greedy_pack_oracle(pool, sep)
+    assert 1 < len(want) < 1 + n                 # the band splits both ways
+    assert np.array_equal(greedy_pack(pool, sep), want)
 
 
 def test_pair_first_violation_matches_oracle():
