@@ -111,6 +111,8 @@ def frank_wolfe_design(rows, *, target_factor: float = 2.0,
             pruned = w.copy()
             pruned[pruned < PRUNE_TOL] = 0.0
             pruned /= pruned.sum()
+            if np.array_equal(pruned, w):
+                break                 # g_mat, lev and g already describe w
             g_mat2 = gram(pruned)
             lev2 = _leverages(red, g_mat2)
             g2 = float(lev2.max())

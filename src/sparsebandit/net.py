@@ -23,6 +23,24 @@ POOL_FACTOR = 200
 PACK_BAND = 1e-9
 
 
+def _closer_than(points: np.ndarray, sep: float) -> bool:
+    """True iff some pair of rows has sum((a - b)**2) < sep**2.
+
+    Decided the way greedy_pack decides it: a KD-tree nearest-other distance
+    below sep*(1-PACK_BAND) is too close outright, and only the pairs the
+    tree puts within sep*(1+PACK_BAND) get the exact squared-distance test.
+    """
+    tree = cKDTree(points)
+    nearest = tree.query(points, k=2)[0][:, 1].min()
+    if nearest < sep * (1.0 - PACK_BAND):
+        return True
+    if nearest > sep * (1.0 + PACK_BAND):
+        return False
+    pairs = tree.query_pairs(sep * (1.0 + PACK_BAND), output_type="ndarray")
+    diff = points[pairs[:, 0]] - points[pairs[:, 1]]
+    return bool((np.einsum("ij,ij->i", diff, diff) < sep * sep).any())
+
+
 @dataclass(frozen=True)
 class CoveringNet:
     """Unit vectors in s dimensions with pairwise distance >= separation."""
@@ -43,12 +61,8 @@ class CoveringNet:
         eps = 2.0 * self.separation
         if pts.shape[0] > (4.0 / eps + 1.0) ** self.s:
             raise ValidationError("net size exceeds the packing bound")
-        if pts.shape[0] > 1:
-            gram = pts @ pts.T
-            sq = np.maximum(np.add.outer(norms ** 2, norms ** 2) - 2 * gram, 0.0)
-            np.fill_diagonal(sq, np.inf)
-            if np.sqrt(sq.min()) < self.separation:
-                raise ValidationError("net points closer than the separation")
+        if pts.shape[0] > 1 and _closer_than(pts, self.separation):
+            raise ValidationError("net points closer than the separation")
 
     @property
     def size(self) -> int:
@@ -158,8 +172,8 @@ def include_point(net: CoveringNet, v) -> CoveringNet:
     exact = np.all(net.points == v, axis=1)
     if exact.any():
         return net
-    dists = np.linalg.norm(net.points - v, axis=1)
-    keep = dists >= net.separation
+    diff = net.points - v
+    keep = np.einsum("ij,ij->i", diff, diff) >= net.separation * net.separation
     points = np.vstack([net.points[keep], v])
     return CoveringNet(points=points, separation=net.separation,
                        s=net.s, candidate_pool_size=net.candidate_pool_size)

@@ -4,9 +4,10 @@ The pipeline collects each subset's design-support actions into a
 representative matrix, compresses it with a certified random projection,
 estimates the compressed parameter by action elimination, and recovers a
 sparse full-dimensional estimate by minimizing the worst-case residual
-||Psi theta - targets||_inf over every support of size s. The support
-enumeration makes the recovery exact at desk scale; each restricted minimax
-fit is a small linear program.
+||Psi theta - targets||_inf over every support of size s. Each restricted
+minimax fit is a small linear program; a least-squares lower bound per
+support lets the recovery skip the LPs of supports that cannot win while
+staying exact.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.optimize import linprog
 
 from .compressed_elim import run_benign_elimination
@@ -24,6 +26,10 @@ from .design_elim import check_subset_guard
 from .errors import ValidationError
 from .model import BanditInstance, FeatureMatrix, QueryLedger, uniform_error
 from .param_elim import subsets_of_size
+
+# relative slack between a support's lower bound and the incumbent objective
+# before its LP is skipped; above HiGHS's default 1e-7 feasibility tolerance
+PRUNE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,7 @@ class RecoveryResult:
     theta: np.ndarray
     objective: float
     support: tuple
+    lp_solves: int            # restricted minimax LPs solved, <= C(d, s)
 
 
 @dataclass
@@ -50,6 +57,7 @@ class GeneralFeaturesResult:
     q: int                    # compressed dimension
     psi_rows: int
     map_seed: int
+    lp_solves: int            # recovery LPs solved out of C(d, s)
     queries: int
     final_error: float
     elimination: object
@@ -101,12 +109,40 @@ def _restricted_minimax(psi_m: np.ndarray, targets: np.ndarray):
     return res.x[:s], float(res.x[-1])
 
 
+def _support_bounds(psi: np.ndarray, targets: np.ndarray, supports) -> np.ndarray:
+    """Lower bound ||r_LS(M)||_2 / sqrt(m) on each support's minimax value.
+
+    For any theta on M, ||psi_M theta - targets||_inf >= ||.||_2 / sqrt(m),
+    and the least-squares residual r_LS(M) has the smallest 2-norm. It is
+    taken as the residual of the projection onto the economic QR factor Q:
+    range(Q) contains range(psi_M) even when psi_M is rank-deficient, so the
+    bound never exceeds the least-squares one.
+    """
+    root_m = math.sqrt(psi.shape[0])
+    bounds = np.empty(len(supports))
+    for i, support in enumerate(supports):
+        q = qr(psi[:, list(support)], mode="economic")[0]
+        bounds[i] = np.linalg.norm(targets - q @ (q.T @ targets)) / root_m
+    return bounds
+
+
 def sparse_linf_recover(psi, targets, s: int) -> RecoveryResult:
-    """Exact sparse minimax recovery by support enumeration.
+    """Exact sparse minimax recovery over every support of size s.
 
     Solves min over |M| = s and theta supported on M of
     ||psi theta - targets||_inf; ties across supports break lexicographically
     (the first support attaining the minimum wins).
+
+    Each support M gets the certified lower bound ||r_LS(M)||_2 / sqrt(m)
+    from one least-squares projection (_support_bounds). Supports are
+    solved by LP in order of increasing bound (a stable sort, so equal
+    bounds keep lexicographic order), and the loop stops at the first
+    support whose bound exceeds best + PRUNE_MARGIN * max(1, best): its LP
+    value, and that of every support after it, lies above the best
+    objective, so none of them could win or tie. The winner is the solved support with the least
+    (objective, lexicographic index), and its LP is the same call on the
+    same inputs as in a full enumeration, so objective, theta and support
+    are bit-identical to it. ``lp_solves`` counts the LPs solved.
     """
     psi = np.asarray(psi, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -116,16 +152,23 @@ def sparse_linf_recover(psi, targets, s: int) -> RecoveryResult:
         raise ValidationError("representative matrix is identically zero")
     d = psi.shape[1]
     check_subset_guard(d, s)
-    best = None
-    for subset in subsets_of_size(d, s):
-        theta_m, obj = _restricted_minimax(psi[:, list(subset)], targets)
-        if best is None or obj < best[1]:
-            best = (subset, obj, theta_m)
-    subset, obj, theta_m = best
+    supports = subsets_of_size(d, s)
+    bounds = _support_bounds(psi, targets, supports)
+    best = None                       # (objective, support index, theta_m)
+    lp_solves = 0
+    for i in np.argsort(bounds, kind="stable"):
+        if best is not None and bounds[i] > best[0] + PRUNE_MARGIN * max(1.0, best[0]):
+            break
+        theta_m, obj = _restricted_minimax(psi[:, list(supports[i])], targets)
+        lp_solves += 1
+        if best is None or (obj, i) < best[:2]:
+            best = (obj, i, theta_m)
+    obj, i, theta_m = best
     theta = np.zeros(d)
-    theta[list(subset)] = theta_m
+    theta[list(supports[i])] = theta_m
     return RecoveryResult(theta=theta, objective=obj,
-                          support=tuple(int(i) for i in np.nonzero(theta)[0]))
+                          support=tuple(int(j) for j in np.nonzero(theta)[0]),
+                          lp_solves=lp_solves)
 
 
 def default_budget(z: int, q: int) -> int:
@@ -168,6 +211,7 @@ def run_general_features(instance: BanditInstance, ledger: QueryLedger, *,
         q=q,
         psi_rows=reps.matrix.shape[0],
         map_seed=cmap.seed,
+        lp_solves=rec.lp_solves,
         queries=len(ledger) - start,
         final_error=uniform_error(instance, rec.theta, range(d)),
         elimination=elim,

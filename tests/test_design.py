@@ -59,6 +59,25 @@ def test_random_matrices_meet_certificates():
         assert np.allclose(gram, design.design_matrix, atol=1e-9)
 
 
+def test_cached_design_is_exactly_that_of_the_returned_weights():
+    """Bitwise, whether the final prune renormalized the weights, (5, 3, 0)
+    and (12, 6, 3), or left them as they were, the rest; designs that start
+    at the target and designs that iterate both."""
+    iterated = 0
+    for k, s, seed in ((3, 2, 0), (5, 3, 0), (12, 6, 3), (40, 2, 0),
+                       (200, 3, 0), (500, 8, 1)):
+        rows = random_rows(np.random.default_rng(seed), k, s)
+        design = frank_wolfe_design(rows)
+        iterated += design.iterations > 0
+        w = np.zeros(k)
+        for i, weight in design.support:
+            w[i] = weight
+        red = rows[:, list(design.retained_columns)]
+        assert np.array_equal(design.design_matrix, red.T @ (red * w[:, None]))
+        assert g_value(rows, design) == design.g_value
+    assert iterated
+
+
 def test_g_value_trivial_cases():
     design = frank_wolfe_design(np.eye(3))
     assert g_value(np.eye(3), design) == pytest.approx(3.0, rel=1e-12)

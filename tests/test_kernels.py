@@ -1,10 +1,12 @@
 """The numpy hot kernels against oracles that follow their definitions."""
 
 import numpy as np
+import pytest
 from helpers import first_violation_oracle, greedy_pack_oracle
 
 from sparsebandit import random_sparse_instance
-from sparsebandit.net import build_separated_net, greedy_pack, sphere_pool
+from sparsebandit.errors import ValidationError
+from sparsebandit.net import CoveringNet, build_separated_net, greedy_pack, sphere_pool
 from sparsebandit.param_elim import Envelope, build_candidate_sets, pair_first_violation
 
 
@@ -22,24 +24,30 @@ def test_greedy_pack_matches_oracle():
             assert np.array_equal(greedy_pack(pool, sep), greedy_pack_oracle(pool, sep))
 
 
-def test_greedy_pack_decides_the_distance_band_exactly():
-    """Later-chunk candidates at distance sep*(1 +- delta) from the origin,
-    which chunk 0 accepts, each on its own pair of axes so that they are more
-    than sep apart from each other. Besides delta from 1e-10 down to 1e-15,
-    the squared distance steps one ulp at a time across sep**2: a candidate
-    one ulp below it has a square root that rounds to sep, so only the exact
-    squared test blocks it."""
-    sep = 0.3
-    sep2 = sep * sep
+def band_offsets(sep):
+    """Offsets at distance sep*(1 +- delta) for delta from 1e-10 down to
+    1e-15, then offsets whose squared distance steps one ulp at a time across
+    sep**2: one ulp below it has a square root that rounds to sep, so only
+    the exact squared test finds it too close."""
     offsets = [(sep * (1 + sign * 10.0 ** -e), 0.0)
                for e in range(10, 16) for sign in (1, -1)]
     major = sep * (1 - 1e-14)
-    d2 = sep2
+    d2 = sep * sep
     for _ in range(3):
         d2 = np.nextafter(d2, 0.0)
     for _ in range(7):
         offsets.append((major, np.sqrt(d2 - major * major)))
         d2 = np.nextafter(d2, 1.0)
+    return offsets
+
+
+def test_greedy_pack_decides_the_distance_band_exactly():
+    """Later-chunk candidates at the band offsets from the origin, which
+    chunk 0 accepts, each on its own pair of axes so that they are more than
+    sep apart from each other."""
+    sep = 0.3
+    sep2 = sep * sep
+    offsets = band_offsets(sep)
     n = len(offsets)
     candidates = np.zeros((n, 2 * n))
     for j, (a, b) in enumerate(offsets):
@@ -50,6 +58,41 @@ def test_greedy_pack_decides_the_distance_band_exactly():
     want = greedy_pack_oracle(pool, sep)
     assert 1 < len(want) < 1 + n                 # the band splits both ways
     assert np.array_equal(greedy_pack(pool, sep), want)
+
+
+def test_net_validation_decides_the_distance_band_exactly():
+    """A net is refused iff some pair has sum((a-b)**2) < sep**2, the test
+    greedy_pack accepts by. Unit pairs (c, +-a/2, +-b/2) differ by exactly a
+    band offset (0, a, b); random nets are checked with the separation set
+    at their closest pair's distance and one ulp to either side."""
+    sep = 0.3
+    refused = []
+    for a, b in band_offsets(sep):
+        half = np.array([a, b]) / 2
+        c = np.sqrt(1.0 - half @ half)
+        pair = np.array([[c, *half], [c, *-half]])
+        dist2 = ((pair[0] - pair[1]) ** 2).sum()
+        assert dist2 == a * a + b * b
+        too_close = dist2 < sep * sep
+        if too_close:
+            with pytest.raises(ValidationError, match="closer than the separation"):
+                CoveringNet(points=pair, separation=sep, s=3, candidate_pool_size=2)
+        else:
+            CoveringNet(points=pair, separation=sep, s=3, candidate_pool_size=2)
+        refused.append((too_close, np.sqrt(dist2) >= sep))
+    assert (True, True) in refused and (False, True) in refused
+    for s in (2, 3, 4):
+        pts = sphere_pool(s, 40, seed=s)
+        sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        pair_sq = sq[np.triu_indices(len(pts), 1)]
+        closest = np.sqrt(pair_sq.min())
+        for sep in (np.nextafter(closest, 0.0), closest, np.nextafter(closest, 1.0)):
+            too_close = bool((pair_sq < sep * sep).any())
+            if too_close:
+                with pytest.raises(ValidationError):
+                    CoveringNet(points=pts, separation=sep, s=s, candidate_pool_size=40)
+            else:
+                CoveringNet(points=pts, separation=sep, s=s, candidate_pool_size=40)
 
 
 def test_pair_first_violation_matches_oracle():

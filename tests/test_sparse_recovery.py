@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from helpers import minimax_residual_oracle, sparse_minimax_oracle
 
-from sparsebandit import QueryLedger, build_instance, random_sparse_instance
+from sparsebandit import QueryLedger, build_instance, random_sparse_instance, sparse_recovery
 from sparsebandit.design import core_set_bound
 from sparsebandit.errors import GuardExceededError, ValidationError
+from sparsebandit.param_elim import subsets_of_size
 from sparsebandit.sparse_recovery import (
+    _restricted_minimax,
+    _support_bounds,
     collect_representatives,
     run_general_features,
     sparse_linf_recover,
@@ -100,3 +103,108 @@ def test_pipeline_error_within_calibrated_bound():
         unit = (2 * math.log(6)) ** 0.25 * math.sqrt(2 * 0.05) + 0.05
         assert res.final_error <= 10 * unit
         assert res.psi_rows == math.comb(6, 2) * 17
+
+
+def full_enumeration(psi, targets, s):
+    """Every support's LP in lexicographic order; the first support attaining
+    the minimum wins."""
+    best = None
+    for subset in subsets_of_size(psi.shape[1], s):
+        theta_m, obj = _restricted_minimax(psi[:, list(subset)], targets)
+        if best is None or obj < best[1]:
+            best = (subset, obj, theta_m)
+    subset, obj, theta_m = best
+    theta = np.zeros(psi.shape[1])
+    theta[list(subset)] = theta_m
+    return tuple(int(i) for i in np.nonzero(theta)[0]), obj, theta
+
+
+def representative_problem(d, seed):
+    """Representatives of a pipeline-sized instance (k = 4d, s = 2) with
+    targets off the truth by a deterministic eps-scale perturbation."""
+    inst = random_sparse_instance(d, 2, 4 * d, 0.05, seed=seed)
+    psi = collect_representatives(inst.features, 2).matrix
+    targets = psi @ inst.theta_star.coords + 0.05 * np.sin(np.arange(len(psi)))
+    return psi, targets
+
+
+def random_problems():
+    rng = np.random.default_rng(11)
+    for s in (1, 2, 3):
+        for _ in range(3):
+            yield rng.normal(size=(24, 6)), rng.normal(size=24), s
+
+
+def assert_bitwise_equal(rec, want):
+    support, obj, theta = want
+    assert rec.support == support
+    assert np.float64(rec.objective).tobytes() == np.float64(obj).tobytes()
+    assert rec.theta.tobytes() == theta.tobytes()
+
+
+def test_pruned_recovery_is_bitwise_the_full_enumeration():
+    for d in (8, 12, 14):
+        psi, targets = representative_problem(d, seed=d)
+        assert_bitwise_equal(sparse_linf_recover(psi, targets, 2),
+                             full_enumeration(psi, targets, 2))
+    for psi, targets, s in random_problems():
+        assert_bitwise_equal(sparse_linf_recover(psi, targets, s),
+                             full_enumeration(psi, targets, s))
+
+
+def test_tied_supports_go_to_the_lexicographically_first():
+    rng = np.random.default_rng(12)
+    psi = rng.normal(size=(20, 5))
+    psi[:, 3] = psi[:, 0]
+    targets = 0.8 * psi[:, 0] + 0.01 * rng.normal(size=20)
+    rec = sparse_linf_recover(psi, targets, 1)
+    assert rec.support == (0,)
+    assert_bitwise_equal(rec, full_enumeration(psi, targets, 1))
+    psi = rng.normal(size=(20, 5))
+    psi[:, 4] = psi[:, 1]
+    targets = psi[:, [0, 1]] @ [0.5, -0.4] + 0.01 * rng.normal(size=20)
+    rec = sparse_linf_recover(psi, targets, 2)
+    assert rec.support == (0, 1)                  # (0, 4) solves the same LP
+    assert_bitwise_equal(rec, full_enumeration(psi, targets, 2))
+    # a tie between different LPs, the later support solved first: rows 2
+    # and 3 hold either support's objective at exactly 1
+    psi = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    targets = np.array([0.0, 1.0, 1.0, 1.0])
+    bounds = _support_bounds(psi, targets, ((0,), (1,)))
+    assert bounds[1] < bounds[0]
+    assert (_restricted_minimax(psi[:, [0]], targets)[1]
+            == _restricted_minimax(psi[:, [1]], targets)[1] == 1.0)
+    rec = sparse_linf_recover(psi, targets, 1)
+    assert rec.support == (0,) and rec.lp_solves == 2
+    assert_bitwise_equal(rec, full_enumeration(psi, targets, 1))
+
+
+def test_support_bound_never_exceeds_the_lp_value():
+    rng = np.random.default_rng(13)
+    collinear = rng.normal(size=(20, 5))
+    collinear[:, 4] = collinear[:, 1]            # support (1, 4) is rank 1
+    problems = [(*representative_problem(8, seed=0), 2),
+                (collinear, rng.normal(size=20), 2)] + list(random_problems())
+    for psi, targets, s in problems:
+        supports = subsets_of_size(psi.shape[1], s)
+        bounds = _support_bounds(psi, targets, supports)
+        objs = [_restricted_minimax(psi[:, list(m)], targets)[1] for m in supports]
+        assert np.all(bounds <= objs)
+
+
+def test_lp_solves_counts_the_linprog_calls(monkeypatch):
+    calls = []
+    real = sparse_recovery.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_recovery, "linprog", counting)
+    psi, targets = representative_problem(12, seed=0)
+    rec = sparse_linf_recover(psi, targets, 2)
+    assert rec.lp_solves == len(calls) < math.comb(12, 2)
+    calls.clear()
+    res = run_general_features(random_sparse_instance(8, 2, 32, 0.05, seed=0),
+                               QueryLedger())
+    assert res.lp_solves == len(calls) < math.comb(8, 2)
