@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceError, DimensionMismatchError, ValidationError
 from .model import BanditInstance, QueryLedger, query
@@ -51,12 +51,43 @@ class DesignDistribution:
         return {i: w for i, w in self.support}
 
 
+_GEQP3, = get_lapack_funcs(("geqp3",))
+
+
+def _pivoted_qr(a: np.ndarray):
+    """|diag R| and the 0-based column pivots of the pivoted QR A P = Q R.
+
+    Calls LAPACK dgeqp3 as ``scipy.linalg.qr(a, pivoting=True)`` does, with
+    the workspace its own ``lwork=-1`` query returns, so the bits are the
+    same; it skips the wrapper's finite check and the Q that would be
+    formed and thrown away. A workspace of another size can select another
+    blocking and change bits, so the query runs on every call.
+    """
+    if a.size == 0:
+        return np.empty(0), np.arange(a.shape[1], dtype=np.int32)
+    lwork = int(_GEQP3(a, lwork=-1)[3][0])
+    qr_a, piv = _GEQP3(a, lwork=lwork)[:2]
+    return np.abs(np.diagonal(qr_a)), piv - 1
+
+
 def _retained_columns(rows: np.ndarray) -> np.ndarray:
     """Columns to keep so the reduced matrix has full column rank."""
-    _, r_fact, piv = qr(rows, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(np.atleast_2d(r_fact)))
+    diag, piv = _pivoted_qr(rows)
     keep = piv[: int(np.sum(diag > PIVOT_TOL))]
     return np.sort(keep)
+
+
+def _start_rows(red: np.ndarray) -> np.ndarray:
+    """Pivot rows with non-negligible residual, at most min(2r, k) of them;
+    they span the reduced columns, so the uniform start has a finite g."""
+    k, r = red.shape
+    diag, row_piv = _pivoted_qr(red.T)
+    scale = max(diag[0], 1.0) if diag.size else 1.0
+    n_pivots = int(np.sum(diag > 1e-12 * scale))
+    init = row_piv[: min(2 * r, k)]
+    if n_pivots < len(init):
+        init = init[: max(n_pivots, 1)]
+    return init
 
 
 def _leverages(rows_red: np.ndarray, g_mat: np.ndarray) -> np.ndarray:
@@ -76,6 +107,8 @@ def frank_wolfe_design(rows, *, target_factor: float = 2.0,
     rows = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise DimensionMismatchError("rows must be a non-empty 2-d array")
+    if not np.isfinite(rows).all():
+        raise ValidationError("rows must be finite")
     k = rows.shape[0]
 
     retained = _retained_columns(rows)
@@ -85,15 +118,7 @@ def frank_wolfe_design(rows, *, target_factor: float = 2.0,
     r = red.shape[1]
     target = target_factor * r
 
-    # pivot rows with non-negligible residual; guarantees a spanning start
-    _, r_fact, row_piv = qr(red.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(np.atleast_2d(r_fact)))
-    scale = max(diag[0], 1.0) if diag.size else 1.0
-    n_pivots = int(np.sum(diag > 1e-12 * scale))
-    init = row_piv[: min(2 * r, k)]
-    if n_pivots < len(init):
-        init = init[: max(n_pivots, 1)]
-
+    init = _start_rows(red)
     w = np.zeros(k)
     w[init] = 1.0 / len(init)
 

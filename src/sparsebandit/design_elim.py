@@ -46,19 +46,22 @@ class DesignElimResult:
 
 
 def first_prediction_gap(preds: np.ndarray, alive: np.ndarray, threshold: float,
-                         start: int = 0):
+                         start: int = 0, rival_start: int = 0):
     """First (primary, rival, action) with |preds gap| > threshold, or None.
 
     Subsets scan in lexicographic order for both roles, actions by row.
     Primaries before ``start`` are skipped: a caller passes the last primary
     once every alive subset before it is known to have no gap against any
-    alive rival, which stays true as long as subsets only die.
+    alive rival, which stays true as long as subsets only die. Rivals before
+    ``rival_start`` are skipped for the primary ``start`` alone: a caller
+    passes the last rival once every rival before it is dead or has no gap
+    against that primary. Later primaries scan from rival 0.
     """
     n_sub = preds.shape[0]
     for m in range(start, n_sub):
         if not alive[m]:
             continue
-        for mp in range(n_sub):
+        for mp in range(rival_start if m == start else 0, n_sub):
             if mp == m or not alive[mp]:
                 continue
             gaps = np.abs(preds[mp] - preds[m]) > threshold
@@ -86,17 +89,19 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
         preds[m_idx] = instance.features.matrix[:, list(subset)] @ theta_m
     phase1_queries = len(ledger)
 
-    # each step resumes the scan at the last primary: every alive subset
-    # before it has no gap, and since rivals only die it stays so
+    # each step resumes the scan at the last (primary, rival): every alive
+    # subset before the primary has no gap, every rival before the rival is
+    # dead or has no gap with the primary, and since rivals only die and
+    # predictions never change it stays so
     alive = np.ones(len(subsets), dtype=bool)
-    cursor = 0
+    cursor = rival_cursor = 0
     log: list[Event] = []
     while True:
-        found = first_prediction_gap(preds, alive, gap_thr, start=cursor)
+        found = first_prediction_gap(preds, alive, gap_thr, cursor, rival_cursor)
         if found is None:
             break
         m, mp, x = found
-        cursor = m
+        cursor, rival_cursor = m, mp
         reward = query(instance, x, ledger)
         killed = []
         if abs(reward - preds[m, x]) <= kill_thr:

@@ -4,6 +4,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
+from scipy.linalg import qr
 
 
 @lru_cache(maxsize=64)
@@ -87,3 +88,27 @@ def first_violation_oracle(P, W, alive, m_idx, t_idx, eps):
     far = np.abs(P.transpose(0, 2, 1)[None] - c[:, None, None, None]) > 2.5 * eps
     hits = np.argwhere(near[:, None, None, :] & rival[None, :, :, None] & far)
     return tuple(int(v) for v in hits[0]) if len(hits) else None
+
+
+def retained_columns_qr_oracle(rows):
+    """Frank-Wolfe column selection as written on ``scipy.linalg.qr``: the
+    pivots whose |diag R| exceeds 1e-10, in ascending order."""
+    _, r_fact, piv = qr(rows, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(np.atleast_2d(r_fact)))
+    keep = piv[: int(np.sum(diag > 1e-10))]
+    return np.sort(keep)
+
+
+def start_rows_qr_oracle(red):
+    """Frank-Wolfe starting rows as written on ``scipy.linalg.qr``: the
+    first min(2r, k) row pivots of red.T, cut to those with a residual above
+    1e-12 of the largest (at least one)."""
+    k, r = red.shape
+    _, r_fact, row_piv = qr(red.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(np.atleast_2d(r_fact)))
+    scale = max(diag[0], 1.0) if diag.size else 1.0
+    n_pivots = int(np.sum(diag > 1e-12 * scale))
+    init = row_piv[: min(2 * r, k)]
+    if n_pivots < len(init):
+        init = init[: max(n_pivots, 1)]
+    return init

@@ -1,10 +1,17 @@
 """Tests for the experimental-design solver and estimator."""
 
+import math
+
 import numpy as np
 import pytest
+from helpers import retained_columns_qr_oracle, start_rows_qr_oracle
+from scipy.linalg import qr
 
 from sparsebandit import QueryLedger, build_instance, random_sparse_instance
+from sparsebandit import design as design_mod
+from sparsebandit.compression import build_map, choose_target_dim
 from sparsebandit.design import (
+    _pivoted_qr,
     core_set_bound,
     design_for_subset,
     estimate_parameter,
@@ -12,6 +19,7 @@ from sparsebandit.design import (
     g_value,
 )
 from sparsebandit.errors import ValidationError
+from sparsebandit.param_elim import subsets_of_size
 
 
 def random_rows(rng, k, s):
@@ -106,6 +114,70 @@ def test_rank_deficient_columns_are_discarded():
 def test_zero_rows_rejected():
     with pytest.raises(ValidationError):
         frank_wolfe_design(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_rejected(bad):
+    rows = random_rows(np.random.default_rng(7), 12, 3)
+    rows[4, 1] = bad
+    with pytest.raises(ValidationError, match="rows must be finite"):
+        frank_wolfe_design(rows)
+    with pytest.raises(ValidationError, match="rows must be finite"):
+        design_for_subset(rows, [0, 1])
+    design_for_subset(rows, [0, 2])   # a block without the bad column is fine
+
+
+@pytest.mark.parametrize("shape", [(30, 4), (5, 8), (1, 6), (6, 1), (7, 0), (0, 3)])
+def test_pivoted_qr_matches_scipy_qr(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape)
+    if shape == (30, 4):
+        a[:, 3] = a[:, 0] - 2.0 * a[:, 1]          # a dependent column
+    _, r_fact, piv = qr(a, mode="economic", pivoting=True)
+    diag, got_piv = _pivoted_qr(a)
+    assert np.array_equal(diag, np.abs(np.diag(np.atleast_2d(r_fact))))
+    assert np.array_equal(got_piv, piv)
+    diag_t, got_piv_t = _pivoted_qr(a.T)         # the Fortran-ordered view
+    _, r_fact_t, piv_t = qr(a.T, mode="economic", pivoting=True)
+    assert np.array_equal(diag_t, np.abs(np.diag(np.atleast_2d(r_fact_t))))
+    assert np.array_equal(got_piv_t, piv_t)
+
+
+def design_blocks():
+    """Every Frank-Wolfe input of the benchmark's design-elim instance
+    (40, 2, 500) at seed 0, of its general-features instances at d = 8, 12,
+    14, one compressed-stage 160 x 73 matrix and a few degenerate shapes."""
+    phi = random_sparse_instance(40, 2, 500, 0.1, 0).features.matrix
+    blocks = [phi[:, list(sub)] for sub in subsets_of_size(40, 2)]
+    for d, k in ((8, 40), (12, 48), (14, 56)):
+        phi = random_sparse_instance(d, 2, k, 0.05, 0).features.matrix
+        blocks += [phi[:, list(sub)] for sub in subsets_of_size(d, 2)]
+    d, s, k, eps = 96, 3, 160, 0.25
+    clean = random_sparse_instance(d, s, k, eps, 0, basis_probes=False)
+    p = choose_target_dim(k, math.log(k) ** 0.25 * math.sqrt(eps), d)
+    blocks.append(build_map(d, p, 0).apply(clean.features.matrix))
+    rng = np.random.default_rng(11)
+    dependent = random_rows(rng, 30, 4)
+    dependent[:, 2] = 0.5 * dependent[:, 0] - dependent[:, 3]
+    blocks += [dependent, random_rows(rng, 5, 8), random_rows(rng, 1, 3)]
+    return blocks
+
+
+def test_designs_match_the_scipy_qr_setup_bitwise(monkeypatch):
+    blocks = design_blocks()
+    assert blocks[-4].shape == (160, 73)
+    got = [frank_wolfe_design(block) for block in blocks]
+    monkeypatch.setattr(design_mod, "_retained_columns", retained_columns_qr_oracle)
+    monkeypatch.setattr(design_mod, "_start_rows", start_rows_qr_oracle)
+    for block, design in zip(blocks, got):
+        want = frank_wolfe_design(block)
+        assert design.support == want.support
+        assert design.design_matrix.shape == want.design_matrix.shape
+        assert np.array_equal(design.design_matrix, want.design_matrix)
+        assert design.g_value == want.g_value
+        assert design.retained_columns == want.retained_columns
+        assert design.g_history == want.g_history
+        assert design.iterations == want.iterations
 
 
 def test_zero_subset_gets_the_empty_design():

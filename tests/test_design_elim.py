@@ -40,6 +40,23 @@ def test_gap_scan_order_is_lexicographic():
     assert first_prediction_gap(preds, alive, 1.0) == (0, 2, 1)
 
 
+def test_rival_start_skips_rivals_of_the_start_primary_only():
+    # 0 and 2 agree, 1 disagrees with both on action 0
+    preds = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+    alive = np.ones(3, dtype=bool)
+    assert first_prediction_gap(preds, alive, 1.0) == (0, 1, 0)
+    # primary 0 resumes at rival 2 and finds no gap; primary 1 scans from rival 0
+    assert first_prediction_gap(preds, alive, 1.0, 0, 2) == (1, 0, 0)
+    assert first_prediction_gap(preds, alive, 1.0, 1, 2) == (1, 2, 0)
+    assert first_prediction_gap(preds, alive, 1.0, 0, 3) == (1, 0, 0)
+    # a dead start primary passes its rival cursor on to no one
+    preds = np.vstack([preds, preds[2]])
+    alive = np.array([False, True, True, True])
+    assert first_prediction_gap(preds, alive, 1.0, 0, 3) == (1, 2, 0)
+    preds[2:] = preds[1]
+    assert first_prediction_gap(preds, alive, 1.0, 0, 3) is None
+
+
 def test_runs_meet_error_and_query_bounds():
     for seed in range(10):
         inst = random_sparse_instance(5, 2, 20, 0.05, seed=seed)
@@ -123,10 +140,17 @@ def test_run_matches_a_restart_scan():
     cases = [(6, 1, 16, 0.1, seed) for seed in (1, 2)]
     cases += [(6, 2, 20, 0.05, seed) for seed in (0, 1)]
     cases += [(6, 3, 30, 0.05, 0), (6, 3, 30, 0.05, 2), (7, 3, 30, 0.03, 2)]
+    # primaries 0-4 die against rival 5, then primary 5 kills rivals 6, 7, 8, ...
+    cases += [(8, 2, 24, 0.05, 4)]
     pick = itemgetter("action", "reward", "primary", "rival", "killed")
+    resumed = 0
     for d, s, k, eps, seed in cases:
         inst = random_sparse_instance(d, s, k, eps, seed=seed)
         res = run_design_elimination(inst, QueryLedger())
         got = [(e.step,) + pick(e.fields) for e in res.log]
         assert got == restart_scan_log(inst, res)
         assert len({e.fields["primary"] for e in res.log}) > 1   # the cursor moved
+        pairs = [(e.fields["primary"], e.fields["rival"]) for e in res.log]
+        resumed += sum(m == m_next and mp < mp_next
+                       for (m, mp), (m_next, mp_next) in zip(pairs, pairs[1:]))
+    assert resumed   # some step kept its primary and hit a later rival
