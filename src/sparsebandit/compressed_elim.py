@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import CompressionMap
-from .design import frank_wolfe_design
+from .design import frank_wolfe_design, weighted_estimate
 from .errors import ValidationError
 from .model import BanditInstance, Event, QueryLedger, query
 
@@ -66,7 +66,6 @@ def run_benign_elimination(instance: BanditInstance, cmap: CompressionMap,
     eps = instance.epsilon
 
     active = np.arange(k_eff)
-    theta_f = np.zeros(cmap.p)
     theta_first = None
     used = 0
     log: list[Event] = []
@@ -83,23 +82,16 @@ def run_benign_elimination(instance: BanditInstance, cmap: CompressionMap,
                     f"budget {n} cannot cover one design estimate "
                     f"({support_size} queries)")
             break
-        cols = list(design.retained_columns)
-        rhs = np.zeros(len(cols))
-        for pos, weight in design.support:
-            orig = int(row_indices[active[pos]])
-            reward = query(instance, orig, ledger)
-            rhs += weight * reward * frows[active[pos], cols]
+        support = active[[pos for pos, _ in design.support]]
+        rewards = [query(instance, int(row_indices[pos]), ledger)
+                   for pos in support]
         used += support_size
-        theta_red = np.linalg.solve(design.design_matrix, rhs)
-        theta_f = np.zeros(cmap.p)
-        theta_f[cols] = theta_red
+        theta_f = weighted_estimate(design, frows[support], rewards)
         if theta_first is None:
             theta_first = theta_f
 
         if noisy:
             threshold = noisy_threshold(C_const, k_eff, eps, cmap.p, used, n)
-        else:
-            threshold = noiseless_threshold(C_const, k_eff, eps)
         preds = frows[active] @ theta_f
         keep = preds.max() - preds <= threshold
 
@@ -122,7 +114,7 @@ def run_benign_elimination(instance: BanditInstance, cmap: CompressionMap,
 
     return CompressedElimResult(
         theta_f=theta_f,
-        theta_first=theta_first if theta_first is not None else theta_f,
+        theta_first=theta_first,
         surviving=active,
         rounds=round_idx,
         queries=used,

@@ -22,7 +22,6 @@ from .model import BanditInstance, QueryLedger, query
 PIVOT_TOL = 1e-10
 PRUNE_TOL = 1e-10
 MAX_ITER = 10_000
-G_SLACK = 1e-6  # assertion slack on the g <= 2s certificate
 
 
 def core_set_bound(s: int) -> int:
@@ -45,10 +44,6 @@ class DesignDistribution:
     retained_columns: tuple     # ascending indices into the input columns
     g_history: tuple            # monotone non-increasing per accepted step
     iterations: int
-
-    @property
-    def weights(self) -> dict:
-        return {i: w for i, w in self.support}
 
 
 _GEQP3, = get_lapack_funcs(("geqp3",))
@@ -95,14 +90,15 @@ def _leverages(rows_red: np.ndarray, g_mat: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ji->i", rows_red, sol)
 
 
-def frank_wolfe_design(rows, *, target_factor: float = 2.0,
-                       max_iter: int = MAX_ITER) -> DesignDistribution:
-    """Iterate Frank-Wolfe steps until g(rho) <= target_factor * dim.
+def frank_wolfe_design(rows) -> DesignDistribution:
+    """Iterate Frank-Wolfe steps until g(rho) <= 2 * dim.
 
-    Starts uniform on a pivot-selected row subset of size at most
-    min(2*dim, k); every step moves mass toward the worst-leverage row with
-    the closed-form step size, halved as needed so the objective never
-    increases. Weights below 1e-10 are pruned at the end.
+    dim is the number of retained columns. Starts uniform on a
+    pivot-selected row subset of size at most min(2*dim, k); every step
+    moves mass toward the worst-leverage row with the closed-form step size,
+    halved as needed so the objective never increases. Weights below 1e-10
+    are pruned at the end. Raises ConvergenceError when MAX_ITER steps do
+    not reach the target.
     """
     rows = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
     if rows.ndim != 2 or rows.shape[0] < 1:
@@ -116,7 +112,7 @@ def frank_wolfe_design(rows, *, target_factor: float = 2.0,
         raise ValidationError("rows are numerically zero: no columns retained")
     red = rows[:, retained]
     r = red.shape[1]
-    target = target_factor * r
+    target = 2.0 * r
 
     init = _start_rows(red)
     w = np.zeros(k)
@@ -131,7 +127,7 @@ def frank_wolfe_design(rows, *, target_factor: float = 2.0,
     history = [g]
     iterations = 0
 
-    while iterations < max_iter:
+    while True:
         if g <= target:
             pruned = w.copy()
             pruned[pruned < PRUNE_TOL] = 0.0
@@ -147,6 +143,10 @@ def frank_wolfe_design(rows, *, target_factor: float = 2.0,
                 w, g_mat, lev, g = pruned, g_mat2, lev2, g2
                 break
             # pruning pushed g past the target (rare); keep iterating
+        if iterations == MAX_ITER:
+            raise ConvergenceError(
+                f"iteration cap {MAX_ITER} reached; achieved g_value {g:.12g} "
+                f"(target {target:.12g})")
         j = int(np.argmax(lev))
         lam = (g - r) / (r * (g - 1.0)) if g > 1.0 else 0.5
         accepted = False
@@ -166,10 +166,6 @@ def frank_wolfe_design(rows, *, target_factor: float = 2.0,
             raise ConvergenceError(
                 f"no descent step found at g = {g:.12g} (target {target:.12g})")
         history.append(g)
-    else:
-        raise ConvergenceError(
-            f"iteration cap {max_iter} reached; achieved g_value {g:.12g} "
-            f"> target {target:.12g}")
 
     support = tuple((int(i), float(w[i])) for i in np.nonzero(w)[0])
     if len(support) > core_set_bound(rows.shape[1]):
@@ -196,29 +192,41 @@ def g_value(rows, design: DesignDistribution) -> float:
         raise ValidationError(f"design matrix is singular: {exc}") from None
 
 
+def weighted_estimate(design: DesignDistribution, rows, rewards) -> np.ndarray:
+    """Solve G(rho) theta = sum_a rho(a) r_a a over the retained columns.
+
+    rows holds one feature row per design-support action, in support order,
+    over every column the design was built on; rewards holds the observed
+    reward of each. The solution is embedded back with zeros on the
+    discarded columns.
+    """
+    cols = design.retained_columns
+    rhs = np.zeros(len(cols))
+    for (_, weight), reward, row in zip(design.support, rewards,
+                                        rows.take(cols, axis=1)):
+        rhs += weight * reward * row
+    theta = np.zeros(rows.shape[1])
+    theta.put(cols, np.linalg.solve(design.design_matrix, rhs))
+    return theta
+
+
 def estimate_parameter(instance: BanditInstance, index_set, design: DesignDistribution,
                        ledger: QueryLedger) -> np.ndarray:
     """Design-weighted estimate of theta restricted to index_set.
 
-    Queries exactly the design's support actions, once each, and returns the
-    solution of G(rho) theta = sum_a rho(a) r_a a over the restricted (and
-    possibly column-reduced) feature block, embedded back with zeros on any
-    discarded coordinate.
+    Queries exactly the design's support actions, once each in support
+    order, and returns their weighted_estimate over the restricted feature
+    block.
     """
     idx = np.asarray(sorted(int(i) for i in index_set), dtype=np.intp)
     if idx.size == 0:
         raise ValidationError("index set is empty")
     if idx.min() < 0 or idx.max() >= instance.d:
         raise DimensionMismatchError("index set outside feature dimensions")
-    cols = idx[list(design.retained_columns)]
-    rhs = np.zeros(len(design.retained_columns))
-    for row_idx, weight in design.support:
-        reward = query(instance, row_idx, ledger)
-        rhs += weight * reward * instance.features.matrix[row_idx, cols]
-    theta_red = np.linalg.solve(design.design_matrix, rhs)
-    theta = np.zeros(idx.size)
-    theta[list(design.retained_columns)] = theta_red
-    return theta
+    support_rows = [row_idx for row_idx, _ in design.support]
+    rewards = [query(instance, row_idx, ledger) for row_idx in support_rows]
+    block = instance.features.matrix.take(support_rows, axis=0).take(idx, axis=1)
+    return weighted_estimate(design, block, rewards)
 
 
 def design_for_subset(features_matrix: np.ndarray, index_set) -> DesignDistribution:

@@ -49,10 +49,6 @@ class RetriesExhaustedError(SparseBanditError):
 class OverflowGuardError(SparseBanditError):
     """A threshold formula saturated beyond the representable desk scale."""
 
-    def __init__(self, message, saturated=True):
-        super().__init__(message)
-        self.saturated = saturated
-
 
 class EmptySurvivorError(SparseBanditError):
     """An elimination loop removed every candidate; diagnostic, see run log."""

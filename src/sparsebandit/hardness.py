@@ -84,7 +84,7 @@ def k_threshold(spec: HardMatrixSpec) -> int:
     if log_k > math.log(K_SATURATION):
         raise OverflowGuardError(
             f"threshold saturates beyond {K_SATURATION} "
-            f"(log k = {log_k:.3g})", saturated=True)
+            f"(log k = {log_k:.3g})")
     return max(1, math.ceil(math.sqrt(spec.delta) * math.exp(exponent)))
 
 
@@ -177,6 +177,13 @@ def generate_validated(spec: HardMatrixSpec, max_retries: int = 100):
         f"{reports[-1].pairwise_failures}", reports=reports)
 
 
+def pairwise_level(matrix: np.ndarray) -> float:
+    """max |<a_i, a_j>| over distinct rows i < j; 0 for a single row."""
+    gram = matrix @ matrix.T
+    iu = np.triu_indices(matrix.shape[0], k=1)
+    return float(np.max(np.abs(gram[iu]))) if iu[0].size else 0.0
+
+
 def embed_index_query(features: FeatureMatrix, i_star: int, delta_gap: float,
                       epsilon: float) -> BanditInstance:
     """Instance with reward 2*Delta planted at the hidden row, 0 elsewhere.
@@ -191,9 +198,7 @@ def embed_index_query(features: FeatureMatrix, i_star: int, delta_gap: float,
         raise ValidationError(f"hidden index {i_star} out of range")
     if delta_gap <= 0:
         raise ValidationError("the reward gap must be positive")
-    gram = features.matrix @ features.matrix.T
-    iu = np.triu_indices(features.k, k=1)
-    level = float(np.max(np.abs(gram[iu]))) if iu[0].size else 0.0
+    level = pairwise_level(features.matrix)
     if level > epsilon / (2.0 * delta_gap) + PAIRWISE_TOL:
         raise ValidationError(
             f"pairwise level {level:.6g} exceeds epsilon/(2*Delta) = "
@@ -221,11 +226,9 @@ def embed_index_query(features: FeatureMatrix, i_star: int, delta_gap: float,
 
 
 def random_search(instance: BanditInstance, seed: int,
-                  ledger: QueryLedger | None = None) -> tuple[int, int]:
+                  ledger: QueryLedger) -> tuple[int, int]:
     """Uniform search without replacement; returns (queries until the best
     action is first queried, best action index)."""
-    if ledger is None:
-        ledger = QueryLedger()
     best, _ = brute_force_best(instance)
     order = np.random.default_rng(seed).permutation(instance.k)
     for count, idx in enumerate(order, start=1):

@@ -105,12 +105,13 @@ class QueryLedger:
     """Append-only record of (action index, reward) per query.
 
     One ledger per run; its length is the run's sample complexity. For noisy
-    instances the ledger also owns the run's private noise stream.
+    instances the ledger also owns the run's private noise stream, seeded
+    with the instance's noise seed on the first noisy query, so two ledgers
+    on one instance see the same draws.
     """
 
-    def __init__(self, noise_seed: int | None = None):
+    def __init__(self):
         self.entries: list[tuple[int, float]] = []
-        self.noise_seed = noise_seed
         self._rng = None
 
     def __len__(self) -> int:
@@ -119,9 +120,8 @@ class QueryLedger:
     def record(self, index: int, reward: float) -> None:
         self.entries.append((int(index), float(reward)))
 
-    def noise_rng(self, default_seed: int):
+    def noise_rng(self, seed: int):
         if self._rng is None:
-            seed = self.noise_seed if self.noise_seed is not None else default_seed
             self._rng = np.random.default_rng(seed)
         return self._rng
 
@@ -244,13 +244,13 @@ def uniform_error(instance: BanditInstance, theta_hat, index_set) -> float:
 
 
 def random_sparse_instance(d, s, k, epsilon, seed, *, noise=None,
-                           basis_probes=True, unit_theta=True) -> BanditInstance:
+                           basis_probes=True) -> BanditInstance:
     """Seeded random instance for the harness.
 
     Rows are unit vectors; with basis_probes the first 2d rows are the signed
     standard basis (these populate every restriction's extreme values, which
     keeps elimination runs informative). theta* sits on a random support of
-    size s, unit norm by default so nets can be seeded with its restriction.
+    size s with unit norm, so nets can be seeded with its restriction.
     """
     if not 1 <= s <= d:
         raise ValidationError("need 1 <= s <= d")
@@ -271,8 +271,6 @@ def random_sparse_instance(d, s, k, epsilon, seed, *, noise=None,
     support = np.sort(rng.choice(d, size=s, replace=False))
     vals = rng.normal(size=s)
     vals /= np.linalg.norm(vals)
-    if not unit_theta:
-        vals *= rng.uniform(0.5, 0.95)
     theta = np.zeros(d)
     theta[support] = vals
 
@@ -283,6 +281,8 @@ def random_sparse_instance(d, s, k, epsilon, seed, *, noise=None,
 # -- serialization -----------------------------------------------------------
 
 _MAGIC = "sparse-bandit-instance v1"
+_HEADER_KEYS = ("k", "d", "s", "epsilon", "noise", "noise_scale", "seed",
+                "orthogonality", "theta_norm_bypassed")
 
 
 def _fmt(x: float) -> str:
@@ -336,6 +336,10 @@ def load_instance(path) -> BanditInstance:
         parts = raw[pos].split()
         if len(parts) != 2:
             raise InstanceParseError(f"expected 'key value', got {raw[pos]!r}", pos + 1)
+        if parts[0] not in _HEADER_KEYS:
+            raise InstanceParseError(f"unknown header key {parts[0]!r}", pos + 1)
+        if parts[0] in header:
+            raise InstanceParseError(f"duplicate header key {parts[0]!r}", pos + 1)
         header[parts[0]] = parts[1]
         pos += 1
     if pos >= len(raw):

@@ -155,7 +155,7 @@ class Envelope:
             values[x] = self._sorted[x, c]
 
 
-def pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope=None):
+def pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope):
     """First violating tuple for the primary family (m_idx, t_idx).
 
     A tuple (w, mp, tp, x) violates when the action x lies in the primary
@@ -165,7 +165,7 @@ def pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope=None):
 
     Scan order: w ascending, then rival pairs (mp, tp) lexicographic, then x
     ascending. Returns (w, mp, tp, x) or None. ``envelope`` is an
-    ``Envelope`` current for ``alive``; one is built when it is None.
+    ``Envelope`` current for ``alive``.
 
     Anchor w has a violating action iff some x in its group has
     fl(hi[x] - c_w) > 5*eps/2 or fl(lo[x] - c_w) < -5*eps/2: rounded
@@ -173,8 +173,6 @@ def pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope=None):
     envelope. The primary's own value at such an x is within eps/2 of c_w,
     so leaving it in the envelope changes nothing.
     """
-    if envelope is None:
-        envelope = Envelope(P, alive)
     c = W[:, t_idx, None]                                 # (n, 1)
     thr = 2.5 * eps
     near = np.abs(P[m_idx, :, t_idx] - c) <= 0.5 * eps    # (n, k)

@@ -60,7 +60,6 @@ class GeneralFeaturesResult:
     lp_solves: int            # recovery LPs solved out of C(d, s)
     queries: int
     final_error: float
-    elimination: object
 
 
 def collect_representatives(features: FeatureMatrix, s: int) -> RepresentativeSet:
@@ -178,8 +177,7 @@ def default_budget(z: int, q: int) -> int:
 
 def run_general_features(instance: BanditInstance, ledger: QueryLedger, *,
                          c_jl: float = 8.0, C_const: float = 2.0,
-                         budget: int | None = None, map_retries: int = 32,
-                         map_base_seed: int = 0) -> GeneralFeaturesResult:
+                         budget: int | None = None) -> GeneralFeaturesResult:
     """Full pipeline: representatives, certified compression, elimination,
     sparse recovery. Map certification is harness-side (it reads the ground
     truth); the elimination and recovery stages see only the certified map."""
@@ -190,8 +188,7 @@ def run_general_features(instance: BanditInstance, ledger: QueryLedger, *,
     phi_val = (s * math.log(d)) ** 0.25 * math.sqrt(instance.epsilon)
     q = choose_target_dim(reps.matrix.shape[0], phi_val, d, c_jl)
     cmap = find_certified_map(d, q, reps.matrix, instance.theta_star.coords,
-                              phi_val, base_seed=map_base_seed,
-                              max_retries=map_retries)
+                              phi_val)
     if budget is None:
         budget = default_budget(reps.z, q)
     start = len(ledger)
@@ -214,5 +211,4 @@ def run_general_features(instance: BanditInstance, ledger: QueryLedger, *,
         lp_solves=rec.lp_solves,
         queries=len(ledger) - start,
         final_error=uniform_error(instance, rec.theta, range(d)),
-        elimination=elim,
     )

@@ -78,16 +78,21 @@ def greedy_pack_oracle(pool, min_sep):
 
 
 def first_violation_oracle(P, W, alive, m_idx, t_idx, eps):
-    """First violating (w, mp, tp, x) for the primary (m_idx, t_idx), read off
-    the full boolean tensor near[w,x] & rival[mp,tp] & far[w,mp,tp,x], whose
-    argwhere rows come in scan order; None if there is none."""
-    c = W[:, t_idx]
-    near = np.abs(P[m_idx, :, t_idx][None, :] - c[:, None]) <= 0.5 * eps
+    """First violating (w, mp, tp, x) for the primary (m_idx, t_idx); None if
+    there is none. Anchors w are scanned in order; at each, the boolean
+    tensor near[x] & rival[mp,tp] & far[mp,tp,x] is formed in full, and the
+    first anchor where it has a true entry gives the answer as the first row
+    of its argwhere, which comes in (mp, tp, x) scan order."""
     rival = alive.astype(bool)
     rival[m_idx, t_idx] = False
-    far = np.abs(P.transpose(0, 2, 1)[None] - c[:, None, None, None]) > 2.5 * eps
-    hits = np.argwhere(near[:, None, None, :] & rival[None, :, :, None] & far)
-    return tuple(int(v) for v in hits[0]) if len(hits) else None
+    values = P.transpose(0, 2, 1)                      # (n_sub, n_net, k)
+    for w, c in enumerate(W[:, t_idx]):
+        near = np.abs(P[m_idx, :, t_idx] - c) <= 0.5 * eps
+        far = np.abs(values - c) > 2.5 * eps
+        hits = np.argwhere(near[None, None, :] & rival[:, :, None] & far)
+        if len(hits):
+            return (w,) + tuple(int(v) for v in hits[0])
+    return None
 
 
 def retained_columns_qr_oracle(rows):

@@ -269,7 +269,7 @@ def test_embedding_soundness_and_uniform_search():
     inst = embed_index_query(features, i_star=2, delta_gap=0.5, epsilon=0.5)
     assert inst.misspec[2] == 0.0
     assert float(np.max(np.abs(inst.misspec))) <= inst.epsilon
-    counts = [random_search(inst, seed=t)[0] for t in range(100)]
+    counts = [random_search(inst, t, QueryLedger())[0] for t in range(100)]
     mean = float(np.mean(counts))
     target = (inst.k + 1) / 2
     ok = abs(mean - target) <= 0.1 * target

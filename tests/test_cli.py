@@ -1,6 +1,7 @@
 """Tests for the experiment harness CLI."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -75,7 +76,14 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
                                           ("delta 0.5,-1", "delta must be > 0"),
                                           ("kappa -1", "kappa must be > 0"),
                                           ("c_const 0", "c_const must be > 0"),
-                                          ("c_jl -1", "c_jl must be > 0")])
+                                          ("c_jl -1", "c_jl must be > 0"),
+                                          ("seed_net", "expected 'key value'"),
+                                          ("d 4", "duplicate key 'd'"),
+                                          ("seed_net 2", "expected 0 or 1"),
+                                          ("colour blue", "'colour': unknown key"),
+                                          ("source moon", "expected one of"),
+                                          ("source explicit-file",
+                                           "needs 'instance_file'")])
 def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys, line, message):
     out = tmp_path / "bad.csv"
     lines = ["algorithm param-elim", "d 3", "s 1", "epsilon 0.5", "k 8", line,
@@ -559,3 +567,26 @@ output {out}
     assert main(["run", str(path)]) == 0
     record = dict(zip(CSV_COLUMNS, out.read_text().strip().splitlines()[1].split(",")))
     assert record["wall_ms"] == "0"
+
+
+# sha256 of run.csv and the detail CSV of GOLDEN_SWEEP, recorded before the
+# design estimate was shared between design elimination and benign
+# elimination; any change to a learner's queries, survivors or printed
+# values changes them
+GOLDEN_SWEEP = """algorithm param-elim,design-elim,benign-elim,general-features,random-baseline
+d 6
+s 1,2
+epsilon 0.6
+k 16
+seeds 0,1
+"""
+GOLDEN_RUN_SHA256 = "91ac39177e2bdf350236baac0deeb216543cbe3cb1ea87270c330edb3fe2f6ff"
+GOLDEN_DETAIL_SHA256 = "671f65db905c161d9b828da1b22bdc858fcb2e0f41e62656eb5f5376a1f20456"
+
+
+def test_sweep_of_every_algorithm_is_byte_identical_to_the_golden_digests(tmp_path):
+    out, log = tmp_path / "run.csv", tmp_path / "detail.csv"
+    path = write_config(tmp_path, GOLDEN_SWEEP + f"output {out}\nlog_output {log}\n")
+    assert main(["sweep", str(path)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RUN_SHA256
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == GOLDEN_DETAIL_SHA256

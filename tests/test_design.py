@@ -18,7 +18,7 @@ from sparsebandit.design import (
     frank_wolfe_design,
     g_value,
 )
-from sparsebandit.errors import ValidationError
+from sparsebandit.errors import ConvergenceError, ValidationError
 from sparsebandit.param_elim import subsets_of_size
 
 
@@ -30,7 +30,7 @@ def random_rows(rng, k, s):
 def test_basis_rows_give_uniform_design():
     s = 4
     design = frank_wolfe_design(np.eye(s))
-    weights = design.weights
+    weights = dict(design.support)
     assert set(weights) == set(range(s))
     for w in weights.values():
         assert w == pytest.approx(1.0 / s, abs=1e-12)
@@ -43,6 +43,21 @@ def test_repeated_single_row_collapses_to_one_atom():
     design = frank_wolfe_design(rows)
     assert design.support == ((0, 1.0),)
     assert design.g_value == pytest.approx(1.0, rel=1e-12)
+
+
+def test_iteration_cap_raises_convergence_error(monkeypatch):
+    rng = np.random.default_rng(10)
+    rows = rng.normal(size=(60, 5))
+    rows /= np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1.0)
+    free = frank_wolfe_design(rows)
+    assert free.iterations == 1 and free.g_history[0] > 2 * 5
+    monkeypatch.setattr(design_mod, "MAX_ITER", 0)
+    with pytest.raises(ConvergenceError, match="iteration cap 0 reached"):
+        frank_wolfe_design(rows)
+    assert frank_wolfe_design(np.eye(3)).iterations == 0   # starts at target
+    monkeypatch.setattr(design_mod, "MAX_ITER", 1)
+    capped = frank_wolfe_design(rows)
+    assert capped.support == free.support and capped.g_value == free.g_value
 
 
 def test_random_matrices_meet_certificates():

@@ -18,6 +18,7 @@ from sparsebandit.hardness import (
     generate_validated,
     k_threshold,
     normalize_and_validate,
+    pairwise_level,
     random_search,
     sample_raw_matrix,
     small_epsilon_regime,
@@ -165,9 +166,8 @@ def test_k_threshold_monotonicity():
 
 def test_k_threshold_overflow_guard():
     spec = HardMatrixSpec(d=4096, s=512, epsilon=1.0, tau=0.0, delta=0.5, seed=0)
-    with pytest.raises(OverflowGuardError) as err:
+    with pytest.raises(OverflowGuardError, match="saturates"):
         k_threshold(spec)
-    assert err.value.saturated
 
 
 def test_embedding_soundness():
@@ -182,6 +182,18 @@ def test_embedding_soundness():
     assert np.max(np.abs(off)) == 0.0
     assert inst.rewards[1] == pytest.approx(2 * delta_gap, abs=1e-9)
     assert inst.orthogonality <= eps_target / (2 * delta_gap)
+
+
+def test_pairwise_level_is_the_largest_off_diagonal_inner_product():
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 7):
+        rows = rng.normal(size=(k, 4))
+        want = max((abs(float(rows[i] @ rows[j]))
+                    for i in range(k) for j in range(i + 1, k)), default=0.0)
+        assert pairwise_level(rows) == pytest.approx(want, rel=1e-12)
+    features, _, _ = generate_validated(FRIENDLY)
+    inst = embed_index_query(features, i_star=1, delta_gap=0.5, epsilon=0.5)
+    assert inst.orthogonality == pairwise_level(features.matrix)
 
 
 def test_embedding_norm_bypass_flag_and_round_trip(tmp_path):
@@ -213,13 +225,14 @@ def test_random_search_single_action():
                           seed=2, k=1)
     features, _, _ = generate_validated(spec)
     inst = embed_index_query(features, i_star=0, delta_gap=0.5, epsilon=0.5)
-    queries, best = random_search(inst, seed=0)
-    assert (queries, best) == (1, 0)
+    ledger = QueryLedger()
+    queries, best = random_search(inst, 0, ledger)
+    assert (queries, best) == (1, 0) and len(ledger) == 1
 
 
 def test_random_search_mean_matches_closed_form():
     features, _, _ = generate_validated(FRIENDLY)
     inst = embed_index_query(features, i_star=2, delta_gap=0.5, epsilon=0.5)
-    counts = [random_search(inst, seed=trial)[0] for trial in range(400)]
+    counts = [random_search(inst, trial, QueryLedger())[0] for trial in range(400)]
     mean = float(np.mean(counts))
     assert abs(mean - (inst.k + 1) / 2) <= 0.1 * (inst.k + 1) / 2

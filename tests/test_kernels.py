@@ -105,12 +105,14 @@ def test_pair_first_violation_matches_oracle():
         net = build_separated_net(s, inst.epsilon, seed=trial, pool_size=400)
         cand = build_candidate_sets(inst.features, net)
         alive = (rng.random((cand.n_subsets, cand.n_net)) < 0.8).astype(np.uint8)
+        envelope = Envelope(cand.projections, alive)
         for m in range(cand.n_subsets):
             for t in range(cand.n_net):
                 if not alive[m, t]:
                     continue
                 args = (cand.projections, cand.anchors, alive, m, t, cand.epsilon)
-                assert pair_first_violation(*args) == first_violation_oracle(*args)
+                assert (pair_first_violation(*args, envelope)
+                        == first_violation_oracle(*args))
 
 
 def test_envelope_tracks_alive_extremes():
@@ -153,5 +155,4 @@ def test_violation_threshold_is_strict_in_floating_point():
     for c, values, want in cases:
         args = _boundary_case(c, values)
         assert first_violation_oracle(*args) == want
-        assert pair_first_violation(*args) == want
         assert pair_first_violation(*args, Envelope(args[0], args[2])) == want

@@ -84,9 +84,10 @@ def test_noisy_query_sample_mean():
 def test_noise_stream_private_per_ledger():
     inst = build_instance([[1.0, 0.0]], [0.5, 0.0], [0.0], 0.1,
                           noise=NoiseModel(kind="gaussian", seed=7))
-    a = [query(inst, 0, QueryLedger(noise_seed=1)) for _ in range(1)]
-    b = [query(inst, 0, QueryLedger(noise_seed=1)) for _ in range(1)]
-    assert a == b
+    first, second = QueryLedger(), QueryLedger()
+    a = [query(inst, 0, first) for _ in range(3)]
+    b = [query(inst, 0, second) for _ in range(3)]
+    assert a == b and len(set(a)) == 3
 
 
 def test_brute_force_best_tie_break():
@@ -151,6 +152,23 @@ def test_load_reports_line_numbers(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(InstanceParseError, match="line 11"):
+        load_instance(bad)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("noize gaussian", "line 9: unknown header key 'noize'"),
+    ("epsilon 0.5", "line 9: duplicate header key 'epsilon'"),
+])
+def test_load_rejects_unknown_and_duplicate_header_keys(tmp_path, extra, message):
+    inst = random_sparse_instance(4, 1, 8, 0.1, seed=0)
+    path = tmp_path / "inst.txt"
+    save_instance(inst, path)
+    lines = path.read_text().splitlines()
+    assert lines[7] == "seed 0" and lines[8] == "phi"
+    lines.insert(8, extra)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InstanceParseError, match=message):
         load_instance(bad)
 
 
