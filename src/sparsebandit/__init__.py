@@ -24,10 +24,12 @@ from .compression import (
 from .design import (
     DesignDistribution,
     core_set_bound,
-    design_for_subset,
+    design_for_subsets,
     estimate_parameter,
     frank_wolfe_design,
+    frank_wolfe_designs,
     g_value,
+    subset_blocks,
 )
 from .design_elim import run_design_elimination
 from .hardness import (

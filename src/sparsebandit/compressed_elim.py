@@ -86,7 +86,7 @@ def run_benign_elimination(instance: BanditInstance, cmap: CompressionMap,
         rewards = [query(instance, int(row_indices[pos]), ledger)
                    for pos in support]
         used += support_size
-        theta_f = weighted_estimate(design, frows[support], rewards)
+        theta_f = weighted_estimate([design], frows[support][None], [rewards])[0]
         if theta_first is None:
             theta_first = theta_f
 

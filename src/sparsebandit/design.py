@@ -6,6 +6,12 @@ twice the (effective) dimension, with a small support. The paired estimator
 queries exactly the support actions once each and solves the weighted normal
 equations; with misspecification bounded by epsilon its uniform prediction
 error over all rows is at most epsilon*sqrt(2s).
+
+Both run on stacks of same-shape blocks, so that numpy's per-call cost is
+paid once per stack rather than once per block: frank_wolfe_designs iterates
+the blocks of one retained rank in lockstep, and weighted_estimate solves
+the systems of one rank in one call. Every design and estimate is bitwise
+the one its block gets alone; frank_wolfe_design is the stack of one.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ from .model import BanditInstance, QueryLedger, query
 PIVOT_TOL = 1e-10
 PRUNE_TOL = 1e-10
 MAX_ITER = 10_000
+# size-s subsets per stacked design call: enough blocks to spread numpy's
+# per-call cost, few enough that a chunk's arrays (about 0.4 MB at k = 500,
+# s = 2) stay below the other transients of a design-elimination run
+SUBSET_CHUNK = 16
 
 
 def core_set_bound(s: int) -> int:
@@ -47,6 +57,7 @@ class DesignDistribution:
 
 
 _GEQP3, = get_lapack_funcs(("geqp3",))
+_GEQP3_LWORK: dict = {}     # block shape -> dgeqp3's own workspace answer
 
 
 def _pivoted_qr(a: np.ndarray):
@@ -56,20 +67,24 @@ def _pivoted_qr(a: np.ndarray):
     the workspace its own ``lwork=-1`` query returns, so the bits are the
     same; it skips the wrapper's finite check and the Q that would be
     formed and thrown away. A workspace of another size can select another
-    blocking and change bits, so the query runs on every call.
+    blocking and change bits; dgeqp3's answer depends only on the shape of
+    A, so the query runs once per shape.
     """
     if a.size == 0:
         return np.empty(0), np.arange(a.shape[1], dtype=np.int32)
-    lwork = int(_GEQP3(a, lwork=-1)[3][0])
+    lwork = _GEQP3_LWORK.get(a.shape)
+    if lwork is None:
+        lwork = _GEQP3_LWORK[a.shape] = int(_GEQP3(a, lwork=-1)[3][0])
     qr_a, piv = _GEQP3(a, lwork=lwork)[:2]
-    return np.abs(np.diagonal(qr_a)), piv - 1
+    return abs(qr_a.diagonal()), piv - 1
 
 
 def _retained_columns(rows: np.ndarray) -> np.ndarray:
     """Columns to keep so the reduced matrix has full column rank."""
     diag, piv = _pivoted_qr(rows)
-    keep = piv[: int(np.sum(diag > PIVOT_TOL))]
-    return np.sort(keep)
+    keep = piv[: np.count_nonzero(diag > PIVOT_TOL)]
+    keep.sort()
+    return keep
 
 
 def _start_rows(red: np.ndarray) -> np.ndarray:
@@ -78,108 +93,175 @@ def _start_rows(red: np.ndarray) -> np.ndarray:
     k, r = red.shape
     diag, row_piv = _pivoted_qr(red.T)
     scale = max(diag[0], 1.0) if diag.size else 1.0
-    n_pivots = int(np.sum(diag > 1e-12 * scale))
+    n_pivots = np.count_nonzero(diag > 1e-12 * scale)
     init = row_piv[: min(2 * r, k)]
     if n_pivots < len(init):
         init = init[: max(n_pivots, 1)]
     return init
 
 
+def _gram(red_t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Design matrices sum_a w_a a a^T of a stack of transposed blocks
+    (n, r, k) under weights (n, k)."""
+    return np.matmul(red_t, red_t.transpose(0, 2, 1) * weights[:, :, None])
+
+
 def _leverages(rows_red: np.ndarray, g_mat: np.ndarray) -> np.ndarray:
-    sol = np.linalg.solve(g_mat, rows_red.T)
-    return np.einsum("ij,ji->i", rows_red, sol)
+    """||a||^2 in the inverse design for every row, over any stack axes."""
+    sol = np.linalg.solve(g_mat, np.swapaxes(rows_red, -1, -2))
+    return np.einsum("...ij,...ji->...i", rows_red, sol)
+
+
+def _lockstep(red_t: np.ndarray):
+    """Frank-Wolfe on a C-ordered stack (n, r, k) of transposed
+    full-column-rank blocks.
+
+    Every block runs the single-block iteration; the blocks still short of
+    their target step together, so each stacked call does the work of one
+    per-block call for all of them. The blocks are the column-major (k, r)
+    views of red_t, the layout a column selection ``rows[:, cols]`` has,
+    so every BLAS call sees the operands it would see for one block.
+    Returns the weights (n, k), the design matrices (n, r, r), the g-values
+    (n,), the g histories and the iteration counts.
+    """
+    n, r, k = red_t.shape
+    red = red_t.transpose(0, 2, 1)
+    target = 2.0 * r
+    w = np.zeros((n, k))
+    for i, block in enumerate(red):
+        init = _start_rows(block)
+        w[i, init] = 1.0 / len(init)
+    g_mat = _gram(red_t, w)
+    lev = _leverages(red, g_mat)
+    g = lev.max(axis=1)
+    history = [[x] for x in g.tolist()]
+    iterations = np.zeros(n, dtype=int)
+
+    def accept(idx, sel, w2, g_mat2, lev2, g2):
+        w[idx[sel]] = w2[sel]
+        g_mat[idx[sel]] = g_mat2[sel]
+        lev[idx[sel]] = lev2[sel]
+        g[idx[sel]] = g2[sel]
+
+    live = np.arange(n)
+    step = 0
+    while True:
+        reached = g[live] <= target
+        if reached.any():
+            at = live[reached]
+            pruned = w[at]
+            pruned[pruned < PRUNE_TOL] = 0.0
+            pruned /= pruned.sum(axis=1, keepdims=True)
+            # an unmoved block's g_mat, lev and g already describe its weights
+            done = (pruned == w[at]).all(axis=1)
+            moved = ~done
+            if moved.any():
+                redo, pruned = at[moved], pruned[moved]
+                g_mat2 = _gram(red_t[redo], pruned)
+                lev2 = _leverages(red_t[redo].transpose(0, 2, 1), g_mat2)
+                g2 = lev2.max(axis=1)
+                # history records accepted descent steps only; the final
+                # prune may move g by O(prune mass) within the target
+                kept = g2 <= np.maximum(target, g[redo])
+                accept(redo, kept, pruned, g_mat2, lev2, g2)
+                # pruning pushed g past the target (rare); keep iterating
+                done[moved] = kept
+            iterations[at[done]] = step
+            reached[reached] = done
+            live = live[~reached]
+        if not live.size:
+            return w, g_mat, g, history, iterations
+        if step == MAX_ITER:
+            raise ConvergenceError(
+                f"iteration cap {MAX_ITER} reached; achieved g_value "
+                f"{g[live[0]]:.12g} (target {target:.12g})")
+        j = lev[live].argmax(axis=1)
+        g_live = g[live]
+        lam = np.full(live.size, 0.5)
+        big = g_live > 1.0
+        lam[big] = (g_live[big] - r) / (r * (g_live[big] - 1.0))
+        pending = np.arange(live.size)      # positions in live still searching
+        while pending.size:
+            stuck = pending[lam[pending] < 1e-14]
+            if stuck.size:
+                raise ConvergenceError(
+                    f"no descent step found at g = {g_live[stuck[0]]:.12g} "
+                    f"(target {target:.12g})")
+            idx = live[pending]
+            w2 = w[idx] * (1.0 - lam[pending])[:, None]
+            w2[np.arange(idx.size), j[pending]] += lam[pending]
+            g_mat2 = _gram(red_t[idx], w2)
+            lev2 = _leverages(red_t[idx].transpose(0, 2, 1), g_mat2)
+            g2 = lev2.max(axis=1)
+            descent = g2 <= g[idx]
+            accept(idx, descent, w2, g_mat2, lev2, g2)
+            lam[pending[~descent]] *= 0.5
+            pending = pending[~descent]
+        step += 1
+        for i, gi in zip(live.tolist(), g[live].tolist()):
+            history[i].append(gi)
+
+
+def frank_wolfe_designs(blocks) -> list:
+    """Frank-Wolfe designs of a stack (n, k, c) of same-shape row blocks.
+
+    Each block keeps the columns its own pivoted QR retains, and dim is the
+    number it keeps. Starting uniform on a pivot-selected row subset of size
+    at most min(2*dim, k), every step moves mass toward the worst-leverage
+    row with the closed-form step size, halved as needed so the objective
+    never increases, until g(rho) <= 2 * dim. Weights below 1e-10 are pruned
+    at the end. Blocks that keep the same number of columns iterate
+    together; every design is bitwise that of the block run alone. Raises
+    ConvergenceError when MAX_ITER steps do not reach a target.
+    """
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if blocks.ndim != 3 or blocks.shape[1] < 1:
+        raise DimensionMismatchError("blocks must be a stack of non-empty 2-d arrays")
+    if not np.isfinite(blocks).all():
+        raise ValidationError("rows must be finite")
+    retained = [_retained_columns(block) for block in blocks]
+    if any(cols.size == 0 for cols in retained):
+        raise ValidationError("rows are numerically zero: no columns retained")
+    bound = core_set_bound(blocks.shape[2])
+    ranks = np.array([cols.size for cols in retained])
+    rows_t = blocks.transpose(0, 2, 1)
+    designs = [None] * len(blocks)
+    for r in sorted(set(ranks.tolist())):
+        members = np.flatnonzero(ranks == r)
+        cols = np.array([retained[i] for i in members])
+        if members.size == len(blocks) and r == blocks.shape[2]:
+            red_t = np.ascontiguousarray(rows_t)        # every column kept
+        else:
+            red_t = np.ascontiguousarray(rows_t[members[:, None], cols])
+        w, g_mat, g, history, iterations = _lockstep(red_t)
+        owner, atoms = np.nonzero(w)            # row-major: block by block
+        weights = w[owner, atoms].tolist()
+        cuts = np.searchsorted(owner, np.arange(members.size + 1)).tolist()
+        atoms = atoms.tolist()
+        for pos, (i, g_i, cols_i, steps) in enumerate(zip(
+                members.tolist(), g.tolist(), cols.tolist(), iterations.tolist())):
+            lo, hi = cuts[pos], cuts[pos + 1]
+            support = tuple(zip(atoms[lo:hi], weights[lo:hi]))
+            if len(support) > bound:
+                raise ConvergenceError(
+                    f"support size {len(support)} exceeds the core-set bound {bound}")
+            designs[i] = DesignDistribution(
+                support=support,
+                design_matrix=g_mat[pos],
+                g_value=g_i,
+                retained_columns=tuple(cols_i),
+                g_history=tuple(history[pos]),
+                iterations=steps,
+            )
+    return designs
 
 
 def frank_wolfe_design(rows) -> DesignDistribution:
-    """Iterate Frank-Wolfe steps until g(rho) <= 2 * dim.
-
-    dim is the number of retained columns. Starts uniform on a
-    pivot-selected row subset of size at most min(2*dim, k); every step
-    moves mass toward the worst-leverage row with the closed-form step size,
-    halved as needed so the objective never increases. Weights below 1e-10
-    are pruned at the end. Raises ConvergenceError when MAX_ITER steps do
-    not reach the target.
-    """
-    rows = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
+    """The Frank-Wolfe design of one row block: a stack of one."""
+    rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise DimensionMismatchError("rows must be a non-empty 2-d array")
-    if not np.isfinite(rows).all():
-        raise ValidationError("rows must be finite")
-    k = rows.shape[0]
-
-    retained = _retained_columns(rows)
-    if retained.size == 0:
-        raise ValidationError("rows are numerically zero: no columns retained")
-    red = rows[:, retained]
-    r = red.shape[1]
-    target = 2.0 * r
-
-    init = _start_rows(red)
-    w = np.zeros(k)
-    w[init] = 1.0 / len(init)
-
-    def gram(weights):
-        return red.T @ (red * weights[:, None])
-
-    g_mat = gram(w)
-    lev = _leverages(red, g_mat)
-    g = float(lev.max())
-    history = [g]
-    iterations = 0
-
-    while True:
-        if g <= target:
-            pruned = w.copy()
-            pruned[pruned < PRUNE_TOL] = 0.0
-            pruned /= pruned.sum()
-            if np.array_equal(pruned, w):
-                break                 # g_mat, lev and g already describe w
-            g_mat2 = gram(pruned)
-            lev2 = _leverages(red, g_mat2)
-            g2 = float(lev2.max())
-            if g2 <= max(target, g):
-                # history records accepted descent steps only; the final
-                # prune may move g by O(prune mass) within the target
-                w, g_mat, lev, g = pruned, g_mat2, lev2, g2
-                break
-            # pruning pushed g past the target (rare); keep iterating
-        if iterations == MAX_ITER:
-            raise ConvergenceError(
-                f"iteration cap {MAX_ITER} reached; achieved g_value {g:.12g} "
-                f"(target {target:.12g})")
-        j = int(np.argmax(lev))
-        lam = (g - r) / (r * (g - 1.0)) if g > 1.0 else 0.5
-        accepted = False
-        while lam >= 1e-14:
-            w2 = w * (1.0 - lam)
-            w2[j] += lam
-            g_mat2 = gram(w2)
-            lev2 = _leverages(red, g_mat2)
-            g2 = float(lev2.max())
-            if g2 <= g:
-                w, g_mat, lev, g = w2, g_mat2, lev2, g2
-                accepted = True
-                break
-            lam *= 0.5
-        iterations += 1
-        if not accepted:
-            raise ConvergenceError(
-                f"no descent step found at g = {g:.12g} (target {target:.12g})")
-        history.append(g)
-
-    support = tuple((int(i), float(w[i])) for i in np.nonzero(w)[0])
-    if len(support) > core_set_bound(rows.shape[1]):
-        raise ConvergenceError(
-            f"support size {len(support)} exceeds the core-set bound "
-            f"{core_set_bound(rows.shape[1])}")
-    return DesignDistribution(
-        support=support,
-        design_matrix=g_mat,
-        g_value=g,
-        retained_columns=tuple(int(c) for c in retained),
-        g_history=tuple(history),
-        iterations=iterations,
-    )
+    return frank_wolfe_designs(rows[None])[0]
 
 
 def g_value(rows, design: DesignDistribution) -> float:
@@ -192,55 +274,87 @@ def g_value(rows, design: DesignDistribution) -> float:
         raise ValidationError(f"design matrix is singular: {exc}") from None
 
 
-def weighted_estimate(design: DesignDistribution, rows, rewards) -> np.ndarray:
-    """Solve G(rho) theta = sum_a rho(a) r_a a over the retained columns.
+def weighted_estimate(designs, rows, rewards) -> np.ndarray:
+    """Solve G(rho_i) theta_i = sum_a rho_i(a) r_a a for every design i.
 
-    rows holds one feature row per design-support action, in support order,
-    over every column the design was built on; rewards holds the observed
-    reward of each. The solution is embedded back with zeros on the
-    discarded columns.
+    rows[i, t] is the feature row of the t-th support action of designs[i],
+    over every column the design was built on, and rewards[i, t] is its
+    observed reward; entries past a design's support are ignored. Each
+    right-hand side is accumulated in support order, the systems of one
+    retained rank are solved in one stacked call, and every solution is
+    embedded back with zeros on the discarded columns, one row per design.
     """
-    cols = design.retained_columns
-    rhs = np.zeros(len(cols))
-    for (_, weight), reward, row in zip(design.support, rewards,
-                                        rows.take(cols, axis=1)):
-        rhs += weight * reward * row
-    theta = np.zeros(rows.shape[1])
-    theta.put(cols, np.linalg.solve(design.design_matrix, rhs))
+    rows = np.asarray(rows, dtype=np.float64)
+    n, depth, c = rows.shape
+    scaled = np.zeros((n, depth))
+    for i, design in enumerate(designs):
+        scaled[i, :len(design.support)] = [weight for _, weight in design.support]
+    scaled *= rewards
+    theta = np.zeros((n, c))
+    ranks = np.array([len(design.retained_columns) for design in designs])
+    for r in sorted(set(ranks.tolist()) - {0}):
+        members = np.flatnonzero(ranks == r)
+        cols = np.array([designs[i].retained_columns for i in members])
+        red = rows[members[:, None], :, cols]           # (members, r, depth)
+        weights = scaled[members]
+        rhs = np.zeros((members.size, r))
+        for t in range(depth):
+            rhs += weights[:, t, None] * red[:, :, t]
+        g_mats = np.stack([designs[i].design_matrix for i in members])
+        theta[members[:, None], cols] = np.linalg.solve(g_mats, rhs[:, :, None])[:, :, 0]
     return theta
 
 
-def estimate_parameter(instance: BanditInstance, index_set, design: DesignDistribution,
-                       ledger: QueryLedger) -> np.ndarray:
-    """Design-weighted estimate of theta restricted to index_set.
-
-    Queries exactly the design's support actions, once each in support
-    order, and returns their weighted_estimate over the restricted feature
-    block.
-    """
-    idx = np.asarray(sorted(int(i) for i in index_set), dtype=np.intp)
-    if idx.size == 0:
+def subset_blocks(features_matrix: np.ndarray, index_sets) -> np.ndarray:
+    """Stack (n, k, s) of the column restrictions to n size-s index sets,
+    each restriction's columns in ascending index order and, as
+    ``features_matrix[:, cols]`` is, column-major."""
+    idx = np.sort(np.asarray(index_sets, dtype=np.intp).reshape(len(index_sets), -1),
+                  axis=1)
+    if idx.shape[1] == 0:
         raise ValidationError("index set is empty")
-    if idx.min() < 0 or idx.max() >= instance.d:
+    if idx.min() < 0 or idx.max() >= features_matrix.shape[1]:
         raise DimensionMismatchError("index set outside feature dimensions")
-    support_rows = [row_idx for row_idx, _ in design.support]
-    rewards = [query(instance, row_idx, ledger) for row_idx in support_rows]
-    block = instance.features.matrix.take(support_rows, axis=0).take(idx, axis=1)
-    return weighted_estimate(design, block, rewards)
+    return features_matrix.T[idx].transpose(0, 2, 1)
 
 
-def design_for_subset(features_matrix: np.ndarray, index_set) -> DesignDistribution:
-    """Frank-Wolfe design over the column restriction of the feature matrix.
+_EMPTY_DESIGN = DesignDistribution(support=(), design_matrix=np.zeros((0, 0)),
+                                  g_value=0.0, retained_columns=(),
+                                  g_history=(), iterations=0)
+
+
+def design_for_subsets(blocks: np.ndarray) -> list:
+    """Frank-Wolfe designs of a subset_blocks stack, one per restriction.
 
     A restriction that is numerically zero on every row (no column norm
     above PIVOT_TOL, so no pivot would be retained) gets the empty design:
     no support and no retained column, so its estimate is 0 and costs no
     query.
     """
-    idx = np.asarray(sorted(int(i) for i in index_set), dtype=np.intp)
-    block = features_matrix[:, idx]
-    if np.linalg.norm(block, axis=0).max(initial=0.0) <= PIVOT_TOL:
-        return DesignDistribution(support=(), design_matrix=np.zeros((0, 0)),
-                                  g_value=0.0, retained_columns=(),
-                                  g_history=(), iterations=0)
-    return frank_wolfe_design(block)
+    zero = np.linalg.norm(blocks, axis=1).max(axis=1, initial=0.0) <= PIVOT_TOL
+    live = np.flatnonzero(~zero)
+    designs = [_EMPTY_DESIGN] * len(blocks)
+    if live.size:
+        stack = blocks if live.size == len(blocks) else blocks[live]
+        for i, design in zip(live, frank_wolfe_designs(stack)):
+            designs[i] = design
+    return designs
+
+
+def estimate_parameter(instance: BanditInstance, blocks: np.ndarray, designs,
+                       ledger: QueryLedger) -> np.ndarray:
+    """Design-weighted estimates of theta restricted to each block's columns.
+
+    blocks is a subset_blocks stack and designs its design_for_subsets.
+    Queries every design's support actions once each, design by design in
+    support order, and returns their weighted_estimate, one row per block.
+    """
+    depth = max((len(design.support) for design in designs), default=0)
+    actions = np.zeros((len(designs), depth), dtype=np.intp)
+    rewards = np.zeros((len(designs), depth))
+    for i, design in enumerate(designs):
+        for t, (row_idx, _) in enumerate(design.support):
+            actions[i, t] = row_idx
+            rewards[i, t] = query(instance, row_idx, ledger)
+    rows = blocks[np.arange(len(designs))[:, None], actions]
+    return weighted_estimate(designs, rows, rewards)

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import core_set_bound, design_for_subset, estimate_parameter
+from .design import (
+    SUBSET_CHUNK,
+    core_set_bound,
+    design_for_subsets,
+    estimate_parameter,
+    subset_blocks,
+)
 from .errors import EmptySurvivorError, GuardExceededError, ValidationError
 from .model import BanditInstance, Event, QueryLedger, query, uniform_error
 from .param_elim import subsets_of_size
@@ -82,11 +88,14 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
 
     preds = np.empty((len(subsets), instance.k))
     estimates: dict = {}
-    for m_idx, subset in enumerate(subsets):
-        design = design_for_subset(instance.features.matrix, subset)
-        theta_m = estimate_parameter(instance, subset, design, ledger)
-        estimates[subset] = theta_m
-        preds[m_idx] = instance.features.matrix[:, list(subset)] @ theta_m
+    # designs and estimates run a chunk of subsets at a time; the queries
+    # keep their order, subset by subset and each design in support order
+    for lo in range(0, len(subsets), SUBSET_CHUNK):
+        chunk = subsets[lo:lo + SUBSET_CHUNK]
+        blocks = subset_blocks(instance.features.matrix, chunk)
+        thetas = estimate_parameter(instance, blocks, design_for_subsets(blocks), ledger)
+        np.matmul(blocks, thetas[:, :, None], out=preds[lo:lo + len(chunk), :, None])
+        estimates.update(zip(chunk, thetas))
     phase1_queries = len(ledger)
 
     # each step resumes the scan at the last (primary, rival): every alive

@@ -330,7 +330,7 @@ def load_instance(path) -> BanditInstance:
     if not raw or raw[0].strip() != _MAGIC:
         raise InstanceParseError(f"expected header {_MAGIC!r}", 1)
 
-    header = {}
+    header, key_lines = {}, {}
     pos = 1
     while pos < len(raw) and raw[pos].strip() != "phi":
         parts = raw[pos].split()
@@ -341,6 +341,7 @@ def load_instance(path) -> BanditInstance:
         if parts[0] in header:
             raise InstanceParseError(f"duplicate header key {parts[0]!r}", pos + 1)
         header[parts[0]] = parts[1]
+        key_lines[parts[0]] = pos + 1
         pos += 1
     if pos >= len(raw):
         raise InstanceParseError("missing 'phi' section", len(raw))
@@ -351,7 +352,8 @@ def load_instance(path) -> BanditInstance:
         try:
             return int(header[key])
         except ValueError:
-            raise InstanceParseError(f"key {key!r} is not an integer", pos) from None
+            raise InstanceParseError(f"key {key!r} is not an integer",
+                                     key_lines[key]) from None
 
     def need_float(key):
         if key not in header:
@@ -359,7 +361,7 @@ def load_instance(path) -> BanditInstance:
         try:
             return float(header[key])
         except ValueError:
-            raise InstanceParseError(f"key {key!r} is not a real", pos) from None
+            raise InstanceParseError(f"key {key!r} is not a real", key_lines[key]) from None
 
     k = need_int("k")
     d = need_int("d")
@@ -368,8 +370,15 @@ def load_instance(path) -> BanditInstance:
     noise_kind = header.get("noise", "none")
     noise_scale = need_float("noise_scale") if "noise_scale" in header else 1.0
     seed = need_int("seed") if "seed" in header else 0
+    if seed < 0:
+        raise InstanceParseError(f"noise seed {seed} is negative", key_lines["seed"])
     orthogonality = need_float("orthogonality") if "orthogonality" in header else None
-    bypass = header.get("theta_norm_bypassed", "0") == "1"
+    bypass = header.get("theta_norm_bypassed", "0")
+    if bypass not in ("0", "1"):
+        raise InstanceParseError(
+            f"key 'theta_norm_bypassed' must be 0 or 1, got {bypass!r}",
+            key_lines["theta_norm_bypassed"])
+    bypass = bypass == "1"
 
     def parse_row(line_idx, expected_len, what):
         try:

@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 
 from .compressed_elim import run_benign_elimination
 from .compression import choose_target_dim, find_certified_map
-from .design import core_set_bound, design_for_subset
+from .design import SUBSET_CHUNK, core_set_bound, design_for_subsets, subset_blocks
 from .design_elim import check_subset_guard
 from .errors import ValidationError
 from .model import BanditInstance, FeatureMatrix, QueryLedger, uniform_error
@@ -74,17 +74,18 @@ def collect_representatives(features: FeatureMatrix, s: int) -> RepresentativeSe
     z = core_set_bound(s)
     subsets = subsets_of_size(features.d, s)
     rows, sources = [], []
-    for subset in subsets:
-        design = design_for_subset(features.matrix, subset)
-        if not design.support:
-            continue
-        chosen = [idx for idx, _ in design.support]
-        heaviest = max(design.support, key=lambda iw: iw[1])[0]
-        while len(chosen) < z:
-            chosen.append(heaviest)
-        for idx in chosen[:z]:
-            rows.append(features.matrix[idx])
-            sources.append(idx)
+    for lo in range(0, len(subsets), SUBSET_CHUNK):
+        blocks = subset_blocks(features.matrix, subsets[lo:lo + SUBSET_CHUNK])
+        for design in design_for_subsets(blocks):
+            if not design.support:
+                continue
+            chosen = [idx for idx, _ in design.support]
+            heaviest = max(design.support, key=lambda iw: iw[1])[0]
+            while len(chosen) < z:
+                chosen.append(heaviest)
+            for idx in chosen[:z]:
+                rows.append(features.matrix[idx])
+                sources.append(idx)
     return RepresentativeSet(
         matrix=np.asarray(rows),
         source_rows=np.asarray(sources, dtype=np.intp),

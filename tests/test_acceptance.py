@@ -23,8 +23,13 @@ from sparsebandit.compressed_elim import (
     run_benign_elimination,
 )
 from sparsebandit.compression import choose_target_dim, find_certified_map
-from sparsebandit.design import core_set_bound, estimate_parameter, frank_wolfe_design
-from sparsebandit.design import design_for_subset
+from sparsebandit.design import (
+    core_set_bound,
+    design_for_subsets,
+    estimate_parameter,
+    frank_wolfe_design,
+    subset_blocks,
+)
 from sparsebandit.design_elim import run_design_elimination
 from sparsebandit.errors import CertificationError
 from sparsebandit.hardness import (
@@ -121,8 +126,9 @@ def test_estimator_certificate_on_true_support():
     worst = 0.0
     for instance, seed in _grid_instances():
         supp = list(instance.theta_star.support)
-        design = design_for_subset(instance.features.matrix, supp)
-        theta_hat = estimate_parameter(instance, supp, design, QueryLedger())
+        blocks = subset_blocks(instance.features.matrix, [supp])
+        theta_hat, = estimate_parameter(instance, blocks, design_for_subsets(blocks),
+                                        QueryLedger())
         preds = instance.features.matrix[:, supp] @ theta_hat
         truth = instance.features.matrix @ instance.theta_star.coords
         err = float(np.max(np.abs(preds - truth)))

@@ -1,6 +1,11 @@
 """Tests for the experimental-design solver and estimator."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +18,23 @@ from sparsebandit.compression import build_map, choose_target_dim
 from sparsebandit.design import (
     _pivoted_qr,
     core_set_bound,
-    design_for_subset,
+    design_for_subsets,
     estimate_parameter,
     frank_wolfe_design,
+    frank_wolfe_designs,
     g_value,
+    subset_blocks,
+    weighted_estimate,
 )
 from sparsebandit.errors import ConvergenceError, ValidationError
 from sparsebandit.param_elim import subsets_of_size
+
+
+def subset_estimate(instance, index_set, ledger):
+    """The design of one index set and its estimate, as stacks of one."""
+    blocks = subset_blocks(instance.features.matrix, [index_set])
+    design, = design_for_subsets(blocks)
+    return design, estimate_parameter(instance, blocks, [design], ledger)[0]
 
 
 def random_rows(rng, k, s):
@@ -138,8 +153,8 @@ def test_non_finite_rows_rejected(bad):
     with pytest.raises(ValidationError, match="rows must be finite"):
         frank_wolfe_design(rows)
     with pytest.raises(ValidationError, match="rows must be finite"):
-        design_for_subset(rows, [0, 1])
-    design_for_subset(rows, [0, 2])   # a block without the bad column is fine
+        design_for_subsets(subset_blocks(rows, [[0, 1]]))
+    design_for_subsets(subset_blocks(rows, [[0, 2]]))   # without the bad column: fine
 
 
 @pytest.mark.parametrize("shape", [(30, 4), (5, 8), (1, 6), (6, 1), (7, 0), (0, 3)])
@@ -195,26 +210,125 @@ def test_designs_match_the_scipy_qr_setup_bitwise(monkeypatch):
         assert design.iterations == want.iterations
 
 
+# sha256 over every field of every design of design_blocks(), one BLAS thread,
+# recorded when each design was computed on its own, before designs were
+# computed in stacks; the stacked code must reproduce those bits, not only
+# agree with itself
+DESIGN_BLOCKS_SHA256 = "82b4456b26286feffd2edc3a7351852ee285232224f3bf08fb49d9fb323fd541"
+
+
+def test_designs_are_byte_identical_to_the_golden_digest():
+    digest = hashlib.sha256()
+    for block in design_blocks():
+        design = frank_wolfe_design(block)
+        digest.update(repr((design.support, design.design_matrix.tobytes(),
+                            design.g_value, design.retained_columns,
+                            design.g_history, design.iterations)).encode())
+    assert digest.hexdigest() == DESIGN_BLOCKS_SHA256
+
+
+def assert_same_design(got, want):
+    assert got.support == want.support
+    assert got.design_matrix.shape == want.design_matrix.shape
+    assert np.array_equal(got.design_matrix, want.design_matrix)
+    assert got.g_value == want.g_value
+    assert got.retained_columns == want.retained_columns
+    assert got.g_history == want.g_history
+    assert got.iterations == want.iterations
+
+
+def assert_stacks_match_single_blocks(blocks):
+    """Each same-shape group of blocks, run as one stack, gives bitwise the
+    designs of its blocks run alone."""
+    groups: dict = {}
+    for block in blocks:
+        groups.setdefault(block.shape, []).append(block)
+    for group in groups.values():
+        for block, design in zip(group, frank_wolfe_designs(np.stack(group))):
+            assert_same_design(design, frank_wolfe_design(block))
+
+
+def test_a_stack_matches_its_blocks_run_alone():
+    assert_stacks_match_single_blocks(design_blocks())
+    for seed in range(3):       # the benchmark's design-elim instances
+        phi = random_sparse_instance(40, 2, 500, 0.1, seed).features.matrix
+        blocks = subset_blocks(phi, subsets_of_size(40, 2))
+        designs = design_for_subsets(blocks)
+        assert all(design.support for design in designs)
+        for block, design in zip(blocks, designs):
+            assert_same_design(design, frank_wolfe_design(block))
+
+
+def test_a_stack_matches_its_blocks_run_alone_on_two_blas_threads():
+    """The same check in a fresh process, whose BLAS reads its thread count
+    at start-up."""
+    here = Path(__file__).resolve().parent
+    package_root = Path(design_mod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here), str(package_root)]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "2"
+    script = ("import test_design as t; "
+              "t.assert_stacks_match_single_blocks(t.design_blocks())")
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=here,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_a_mixed_stack_matches_its_blocks_run_alone():
+    """One stack with two retained ranks, a zero block and blocks that take
+    Frank-Wolfe steps; their estimates match too."""
+    rng = np.random.default_rng(10)
+    stepping = rng.normal(size=(60, 5))      # as in the iteration-cap test
+    stepping /= np.maximum(np.linalg.norm(stepping, axis=1, keepdims=True), 1.0)
+    dependent = random_rows(np.random.default_rng(12), 60, 5)
+    dependent[:, 2] = 0.5 * dependent[:, 0] - dependent[:, 3]
+    blocks = np.stack([random_rows(np.random.default_rng(13), 60, 5), stepping,
+                       np.zeros((60, 5)), dependent, stepping[::-1],
+                       random_rows(np.random.default_rng(14), 60, 5)])
+    designs = design_for_subsets(blocks)
+    assert designs[2].support == () and designs[2].retained_columns == ()
+    assert len(designs[3].retained_columns) == 4
+    assert designs[1].iterations > 0 and designs[4].iterations > 0
+    for block, design in zip(blocks, designs):
+        assert_same_design(design, design_for_subsets(block[None])[0])
+        if design.support:
+            assert_same_design(design, frank_wolfe_design(block))
+
+    theta = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
+    depth = max(len(design.support) for design in designs)
+    rows = np.zeros((len(blocks), depth, 5))
+    rewards = np.zeros((len(blocks), depth))
+    for i, design in enumerate(designs):
+        picked = [a for a, _ in design.support]
+        rows[i, :len(picked)] = blocks[i, picked]
+        rewards[i, :len(picked)] = blocks[i, picked] @ theta + 0.01 * np.cos(picked)
+    stacked = weighted_estimate(designs, rows, rewards)
+    assert np.array_equal(stacked[2], np.zeros(5))
+    for i, design in enumerate(designs):
+        size = len(design.support)
+        alone = weighted_estimate([design], rows[i:i + 1, :size], rewards[i:i + 1, :size])
+        assert np.array_equal(stacked[i], alone[0])
+
+
 def test_zero_subset_gets_the_empty_design():
     # column 1 is zero on every row: the subset {1} predicts 0 and costs no query
     phi = np.array([[0.6, 0.0, 0.8], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     inst = build_instance(phi, np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.1)
-    design = design_for_subset(phi, [1])
-    assert design.support == () and design.retained_columns == ()
     ledger = QueryLedger()
-    assert np.array_equal(estimate_parameter(inst, [1], design, ledger), [0.0])
+    design, theta = subset_estimate(inst, [1], ledger)
+    assert design.support == () and design.retained_columns == ()
+    assert np.array_equal(theta, [0.0])
     assert len(ledger) == 0
     # a subset with one live column keeps its Frank-Wolfe design
-    assert design_for_subset(phi, [0, 1]).retained_columns == (0,)
+    assert design_for_subsets(subset_blocks(phi, [[0, 1]]))[0].retained_columns == (0,)
 
 
 def test_estimator_exact_recovery_noiseless():
     inst = random_sparse_instance(6, 2, 20, 1e-9, seed=8)
     exact = build_instance(inst.features, inst.theta_star, np.zeros(inst.k), 1.0)
     supp = list(exact.theta_star.support)
-    design = design_for_subset(exact.features.matrix, supp)
     ledger = QueryLedger()
-    theta_hat = estimate_parameter(exact, supp, design, ledger)
+    design, theta_hat = subset_estimate(exact, supp, ledger)
     assert np.max(np.abs(theta_hat - exact.theta_star.coords[supp])) < 1e-8
     assert len(ledger) == len(design.support)
 
@@ -223,8 +337,7 @@ def test_estimator_uniform_bound_under_misspecification():
     for seed in range(6):
         inst = random_sparse_instance(6, 2, 24, 0.05, seed=seed)
         supp = list(inst.theta_star.support)
-        design = design_for_subset(inst.features.matrix, supp)
-        theta_hat = estimate_parameter(inst, supp, design, QueryLedger())
+        _, theta_hat = subset_estimate(inst, supp, QueryLedger())
         preds = inst.features.matrix[:, supp] @ theta_hat
         truth = inst.features.matrix @ inst.theta_star.coords
         err = np.max(np.abs(preds - truth))
@@ -237,8 +350,7 @@ def test_estimator_matches_scalar_weighted_regression():
     theta = np.array([0.7, 0.0, 0.0])
     nu = np.array([0.02, -0.01])
     inst = build_instance(phi, theta, nu, 0.05)
-    design = design_for_subset(phi, [0])
-    theta_hat = estimate_parameter(inst, [0], design, QueryLedger())
+    design, theta_hat = subset_estimate(inst, [0], QueryLedger())
     num = sum(w * float(inst.rewards[i]) * phi[i, 0] for i, w in design.support)
     den = sum(w * phi[i, 0] ** 2 for i, w in design.support)
     assert theta_hat[0] == pytest.approx(num / den, rel=1e-12)

@@ -1,12 +1,13 @@
 """Tests for subset elimination with design-based estimates."""
 
+import hashlib
 import math
 from operator import itemgetter
 
 import numpy as np
 import pytest
 
-from sparsebandit import QueryLedger, build_instance, random_sparse_instance
+from sparsebandit import QueryLedger, build_instance, design_elim, random_sparse_instance
 from sparsebandit.design_elim import (
     first_prediction_gap,
     query_bound,
@@ -154,3 +155,42 @@ def test_run_matches_a_restart_scan():
         resumed += sum(m == m_next and mp < mp_next
                        for (m, mp), (m_next, mp_next) in zip(pairs, pairs[1:]))
     assert resumed   # some step kept its primary and hit a later rival
+
+
+# sha256 of design elimination's phase-1 predictions (the (C(d,s), k) float64
+# array, C order) and of the repr of its phase-1 ledger entries, epsilon 0.1,
+# seed 0, recorded with one design and one estimate per subset, before they
+# were computed in stacks. At (40, 2, 500) every subset's design is its two
+# basis probes; without probes, (16, 3, 300) has three-atom designs over
+# dense rows, where the order in which an estimate sums its support shows.
+PHASE1_GOLDEN = [
+    ((40, 2, 500, True),
+     "5a2533acb511079a5d9fb1be971128d0b18c94637a5be18ffcc898f2939b7dfc",
+     "b1cb0c7433ea996c56c69a2c6430d00926868e7d56bbfe0a6041092ecb2a9b85"),
+    ((16, 3, 300, False),
+     "aa66890aced224bbce8ebc89eb703a7ae8100b8599415af3335705dc1f15a848",
+     "5bd229187e5200a9c53cf51792eb5672493ef8fe3eca7768c014b96832aa214c"),
+]
+
+
+@pytest.mark.parametrize("case, preds_sha256, ledger_sha256", PHASE1_GOLDEN,
+                         ids=["40-2-500-probes", "16-3-300-dense"])
+def test_phase_one_is_byte_identical_to_the_golden_digests(
+        monkeypatch, case, preds_sha256, ledger_sha256):
+    d, s, k, probes = case
+    seen = []
+    scan = design_elim.first_prediction_gap
+
+    def first_preds(preds, *args):
+        if not seen:
+            seen.append(preds.copy())
+        return scan(preds, *args)
+
+    monkeypatch.setattr(design_elim, "first_prediction_gap", first_preds)
+    ledger = QueryLedger()
+    instance = random_sparse_instance(d, s, k, 0.1, 0, basis_probes=probes)
+    res = run_design_elimination(instance, ledger)
+    assert seen[0].shape == (math.comb(d, s), k)
+    assert hashlib.sha256(seen[0].tobytes()).hexdigest() == preds_sha256
+    entries = repr(ledger.entries[:res.phase1_queries]).encode()
+    assert hashlib.sha256(entries).hexdigest() == ledger_sha256

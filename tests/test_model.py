@@ -172,6 +172,40 @@ def test_load_rejects_unknown_and_duplicate_header_keys(tmp_path, extra, message
         load_instance(bad)
 
 
+def edited_instance_file(tmp_path, edit):
+    """A saved instance whose header lines pass through ``edit`` first."""
+    inst = random_sparse_instance(4, 1, 8, 0.1, seed=0)
+    path = tmp_path / "inst.txt"
+    save_instance(inst, path)
+    lines = path.read_text().splitlines()
+    assert lines[7] == "seed 0" and lines[8] == "phi"
+    edit(lines)
+    bad = tmp_path / "edited.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+def test_load_rejects_a_negative_noise_seed(tmp_path):
+    def negative(lines):
+        lines[5], lines[7] = "noise gaussian", "seed -1"
+    with pytest.raises(InstanceParseError, match="line 8: noise seed -1 is negative"):
+        load_instance(edited_instance_file(tmp_path, negative))
+
+
+def bypass_flag_file(tmp_path, flag):
+    return edited_instance_file(
+        tmp_path, lambda lines: lines.insert(8, f"theta_norm_bypassed {flag}"))
+
+
+@pytest.mark.parametrize("flag", ["yes", "true", "2", "01"])
+def test_load_accepts_only_0_or_1_as_the_norm_bypass_flag(tmp_path, flag):
+    message = f"line 9: key 'theta_norm_bypassed' must be 0 or 1, got '{flag}'"
+    with pytest.raises(InstanceParseError, match=message):
+        load_instance(bypass_flag_file(tmp_path, flag))
+    assert not load_instance(bypass_flag_file(tmp_path, "0")).theta_norm_bypassed
+    assert load_instance(bypass_flag_file(tmp_path, "1")).theta_norm_bypassed
+
+
 def test_corrupted_misspec_fails_validation(tmp_path):
     inst = random_sparse_instance(4, 1, 8, 0.1, seed=0)
     path = tmp_path / "inst.txt"
