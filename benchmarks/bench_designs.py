@@ -1,4 +1,4 @@
-"""Micro-benchmark of the per-subset Frank-Wolfe designs and estimates.
+"""Micro-benchmark of the learners' inner loops.
 
 Usage (from the root of a checkout):
 
@@ -6,23 +6,28 @@ Usage (from the root of a checkout):
                                         [--src <src dir>] [--runs N]
 
 Times N runs (default 9) of each workload and records the best, the median
-and the spread (max - min) of their wall times, with the number of designs
-and queries of one run:
+and the spread (max - min) of their wall times, with the counts of one run.
+The inner loops are the designs and estimates and the parameter-elimination
+scan:
 
 - ``design-elim phase 1``: ``run_design_elimination`` at (d, s, k) =
   (40, 2, 500) and (16, 3, 300), epsilon 0.1, seed 0, with the phase-2 gap
   scan stubbed to find no gap, so a run is the C(d, s) designs and
-  estimates plus the final error; the queries are phase 1's.
+  estimates plus the final error; counts designs and phase 1's queries.
 - ``collect_representatives`` at d = 14, s = 2, k = 56, epsilon 0.05,
   seed 0, as the general-features runs of the benchmark call it; it issues
   no query.
+- ``param-elim loop``: ``run_parameter_elimination`` at d = 6, k = 16,
+  epsilon 0.6, for s = 2 and for s = 3, over seeds 1-3, on nets built (and
+  seeded with the true restriction, as the CLI does) before the clock
+  starts; counts elimination steps and queries over the three seeds.
 
 The package is imported from ``--src`` (default: this checkout's ``src``),
 so a checkout of another commit can be timed into the same file. The
 results are stored under ``--label`` with a digest of the package sources;
-the other labels already in the file are kept, and the run fails if its
-design or query counts differ from theirs. BLAS runs on one thread unless
-the environment sets it.
+the other labels already in the file are kept, and the run fails if any of
+its counts differ from theirs. BLAS runs on one thread unless the
+environment sets it.
 """
 
 from __future__ import annotations
@@ -43,41 +48,84 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = (("design-elim phase 1", 40, 2, 500, 0.1),
              ("design-elim phase 1", 16, 3, 300, 0.1),
-             ("collect_representatives", 14, 2, 56, 0.05))
+             ("collect_representatives", 14, 2, 56, 0.05),
+             ("param-elim loop", 6, 2, 16, 0.6),
+             ("param-elim loop", 6, 3, 16, 0.6))
+PARAM_SEEDS = (1, 2, 3)
+COUNTS = ("designs", "steps", "queries")
 
 
-def phase_one(instance):
-    """One design-elim run with no phase-2 step: (designs, queries)."""
-    from sparsebandit import QueryLedger, design_elim
+def phase_one(d, s, k, eps):
+    """One design-elim run with no phase-2 step."""
+    from sparsebandit import QueryLedger, design_elim, random_sparse_instance
 
-    scan = design_elim.first_prediction_gap
-    design_elim.first_prediction_gap = lambda *args, **kwargs: None
-    try:
-        res = design_elim.run_design_elimination(instance, QueryLedger())
-    finally:
-        design_elim.first_prediction_gap = scan
-    return len(res.subsets), res.phase1_queries
+    instance = random_sparse_instance(d, s, k, eps, 0)
+
+    def run():
+        scan = design_elim.first_prediction_gap
+        design_elim.first_prediction_gap = lambda *args, **kwargs: None
+        try:
+            res = design_elim.run_design_elimination(instance, QueryLedger())
+        finally:
+            design_elim.first_prediction_gap = scan
+        return {"designs": len(res.subsets), "queries": res.phase1_queries}
+    return run
 
 
-def collect(instance):
-    """One representative collection: (designs, queries)."""
-    from sparsebandit import collect_representatives
+def collect(d, s, k, eps):
+    """One representative collection."""
+    from sparsebandit import collect_representatives, random_sparse_instance
 
-    return len(collect_representatives(instance.features, instance.s).subsets), 0
+    instance = random_sparse_instance(d, s, k, eps, 0)
+
+    def run():
+        reps = collect_representatives(instance.features, instance.s)
+        return {"designs": len(reps.subsets), "queries": 0}
+    return run
+
+
+def param_loop(d, s, k, eps):
+    """Parameter elimination over PARAM_SEEDS on prebuilt nets."""
+    import numpy as np
+
+    from sparsebandit import (QueryLedger, build_separated_net, include_point,
+                              random_sparse_instance)
+    from sparsebandit.model import NORM_TOL
+    from sparsebandit.param_elim import run_parameter_elimination
+
+    cases = []
+    for seed in PARAM_SEEDS:
+        instance = random_sparse_instance(d, s, k, eps, seed)
+        net = build_separated_net(s, eps, seed)
+        restriction = instance.theta_star.coords[list(instance.theta_star.support)]
+        if abs(np.linalg.norm(restriction) - 1.0) <= NORM_TOL:
+            net = include_point(net, restriction)
+        cases.append((instance, net))
+
+    def run():
+        steps = queries = 0
+        for instance, net in cases:
+            ledger = QueryLedger()
+            steps += len(run_parameter_elimination(instance, ledger, net=net).log)
+            queries += len(ledger)
+        return {"steps": steps, "queries": queries}
+    return run
+
+
+PREPARE = {"design-elim phase 1": phase_one,
+           "collect_representatives": collect,
+           "param-elim loop": param_loop}
 
 
 def measure(name, d, s, k, eps, runs):
-    from sparsebandit import random_sparse_instance
-
-    instance = random_sparse_instance(d, s, k, eps, 0)
-    run = phase_one if name.startswith("design-elim") else collect
+    run = PREPARE[name](d, s, k, eps)
     counts, times = None, []
     for _ in range(runs):
         t0 = time.perf_counter()
-        counts = run(instance)
+        counts = run()
         times.append(time.perf_counter() - t0)
     return {"workload": name, "d": d, "s": s, "k": k, "epsilon": eps,
-            "designs": counts[0], "queries": counts[1],
+            **counts,
             "best_s": min(times), "median_s": statistics.median(times),
             "spread_s": max(times) - min(times),
             "runs_s": [round(t, 6) for t in times]}
@@ -89,6 +137,10 @@ def src_digest(src: Path) -> str:
     for path in sorted((src / "sparsebandit").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def counts_of(result):
+    return {key: result[key] for key in COUNTS if key in result}
 
 
 def main(argv=None) -> int:
@@ -110,12 +162,10 @@ def main(argv=None) -> int:
         if other == args.label:
             continue
         for mine, theirs in zip(results, entry["results"]):
-            if (mine["designs"], mine["queries"]) != (theirs["designs"],
-                                                      theirs["queries"]):
-                print(f"{mine['workload']} at d={mine['d']}: designs/queries "
-                      f"{mine['designs']}/{mine['queries']} differ from "
-                      f"{other}'s {theirs['designs']}/{theirs['queries']}",
-                      file=sys.stderr)
+            if counts_of(mine) != counts_of(theirs):
+                print(f"{mine['workload']} at d={mine['d']} s={mine['s']}: "
+                      f"counts {counts_of(mine)} differ from {other}'s "
+                      f"{counts_of(theirs)}", file=sys.stderr)
                 return 1
     labels[args.label] = {
         "src_sha256": src_digest(args.src),
@@ -127,10 +177,10 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     for r in results:
+        counts = "  ".join(f"{key} {value}" for key, value in counts_of(r).items())
         print(f"{args.label:>8} {r['workload']:<24} d={r['d']:<3} s={r['s']} "
               f"k={r['k']:<4} best {r['best_s']:.4f} s  median "
-              f"{r['median_s']:.4f} s  spread {r['spread_s']:.4f} s  "
-              f"designs {r['designs']}  queries {r['queries']}")
+              f"{r['median_s']:.4f} s  spread {r['spread_s']:.4f} s  {counts}")
     return 0
 
 

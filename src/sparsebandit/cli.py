@@ -293,35 +293,38 @@ def _payload(fields):
     return ";".join(f"{key}={_fmt(value)}" for key, value in fields.items())
 
 
-def _details(log, **summary):
+def _details(log, summary):
     """Detail rows (kind, step, payload): one per event of the learner's log,
-    then the run's summary at step len(log)."""
+    then the run's summary at step len(log); none for a run with no summary."""
+    if summary is None:
+        return []
     rows = [(e.kind, e.step, _payload(e.fields)) for e in log]
     rows.append(("summary", len(log), _payload(summary)))
     return rows
 
 
 # Runner table: each entry runs one algorithm on a prepared point and returns
-# (uniform error, chosen action, bound, detail rows). Learners are looked up
-# as module globals at call time, so wrappers set on this module see them.
+# (uniform error, chosen action, bound, event log, summary fields or None).
+# Learners are looked up as module globals at call time, so wrappers set on
+# this module see them.
 
 def _run_param_elim(cfg, point, instance, net, ledger):
     res = run_parameter_elimination(instance, ledger, net=net)
     preds = instance.features.matrix[:, list(res.index_set)] @ res.theta_hat
-    details = _details(res.log, triples_initial=res.initial_triples,
-                       triples_remaining=res.remaining_triples,
-                       queries=res.queries, final_error=res.final_error)
-    return res.final_error, int(np.argmax(preds)), 4.0 * instance.epsilon, details
+    summary = {"triples_initial": res.initial_triples,
+               "triples_remaining": res.remaining_triples,
+               "queries": res.queries, "final_error": res.final_error}
+    return (res.final_error, int(np.argmax(preds)), 4.0 * instance.epsilon,
+            res.log, summary)
 
 
 def _run_design_elim(cfg, point, instance, net, ledger):
     res = run_design_elimination(instance, ledger)
     preds = instance.features.matrix[:, list(res.index_set)] @ res.theta_hat
     bound = 3.0 * instance.epsilon * (1.0 + math.sqrt(2.0 * instance.s))
-    details = _details(res.log, queries=res.queries,
-                       phase1_queries=res.phase1_queries,
-                       final_error=res.final_error)
-    return res.final_error, int(np.argmax(preds)), bound, details
+    summary = {"queries": res.queries, "phase1_queries": res.phase1_queries,
+               "final_error": res.final_error}
+    return res.final_error, int(np.argmax(preds)), bound, res.log, summary
 
 
 def _run_benign_elim(cfg, point, instance, net, ledger):
@@ -333,10 +336,9 @@ def _run_benign_elim(cfg, point, instance, net, ledger):
     preds = cmap.apply(instance.features.matrix)[res.surviving] @ res.theta_f
     bound = cfg.kappa * (math.log(instance.k) ** 0.25
                          * math.sqrt(instance.epsilon) + instance.epsilon)
-    details = _details(res.log, queries=res.queries,
-                       surviving=len(res.surviving),
-                       soundness_ok=res.soundness_ok, final_error=err)
-    return err, int(res.surviving[int(np.argmax(preds))]), bound, details
+    summary = {"queries": res.queries, "surviving": len(res.surviving),
+               "soundness_ok": res.soundness_ok, "final_error": err}
+    return err, int(res.surviving[int(np.argmax(preds))]), bound, res.log, summary
 
 
 def _run_general_features(cfg, point, instance, net, ledger):
@@ -346,18 +348,17 @@ def _run_general_features(cfg, point, instance, net, ledger):
     bound = cfg.kappa * ((instance.s * math.log(instance.d)) ** 0.25
                          * math.sqrt(instance.s * instance.epsilon)
                          + instance.epsilon)
-    details = _details(
-        [], phi=res.phi, q=res.q, psi_rows=res.psi_rows,
-        recovery_objective=res.recovery_objective,
-        support="|".join(str(i) for i in res.recovered_support),
-        error=res.final_error, bound=bound, queries=res.queries,
-        map_seed=res.map_seed)
-    return res.final_error, int(np.argmax(preds)), bound, details
+    summary = {"phi": res.phi, "q": res.q, "psi_rows": res.psi_rows,
+               "recovery_objective": res.recovery_objective,
+               "support": "|".join(str(i) for i in res.recovered_support),
+               "error": res.final_error, "bound": bound,
+               "queries": res.queries, "map_seed": res.map_seed}
+    return res.final_error, int(np.argmax(preds)), bound, [], summary
 
 
 def _run_random_baseline(cfg, point, instance, net, ledger):
     _, chosen = random_search(instance, point[-1], ledger)
-    return float("nan"), chosen, point[4], []   # bound: the reward gap delta
+    return float("nan"), chosen, point[4], [], None   # bound: the reward gap delta
 
 
 RUNNERS = {
@@ -382,7 +383,8 @@ def run_experiment(cfg: ExperimentConfig):
         seed = point[-1]
         ledger = QueryLedger()
         t0 = time.perf_counter()
-        err, chosen, bound, rows = RUNNERS[alg](cfg, point, instance, net, ledger)
+        err, chosen, bound, log, summary = RUNNERS[alg](cfg, point, instance,
+                                                        net, ledger)
         wall_ms = int(round((time.perf_counter() - t0) * 1000)) if cfg.measure_time else 0
         subopt = float(np.max(instance.rewards)) - float(instance.rewards[chosen])
         # the baseline keeps no estimate, so its bound is on the suboptimality
@@ -392,9 +394,10 @@ def run_experiment(cfg: ExperimentConfig):
             k=instance.k, seed=seed, queries=len(ledger), uniform_error=err,
             suboptimality=subopt, bound=bound, bound_satisfied=bool(satisfied),
             wall_ms=wall_ms))
-        prefix = [alg, instance.d, instance.s, _fmt(instance.epsilon),
-                  instance.k, seed]
-        details.extend(prefix + list(row) for row in rows)
+        if cfg.log_output:
+            prefix = [alg, instance.d, instance.s, _fmt(instance.epsilon),
+                      instance.k, seed]
+            details.extend(prefix + list(row) for row in _details(log, summary))
     if cfg.log_output:
         _write_rows(cfg.log_output, DETAIL_COLUMNS, details)
     return records

@@ -171,7 +171,8 @@ def pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope):
     fl(hi[x] - c_w) > 5*eps/2 or fl(lo[x] - c_w) < -5*eps/2: rounded
     subtraction is monotone, so no alive value lies further out than the
     envelope. The primary's own value at such an x is within eps/2 of c_w,
-    so leaving it in the envelope changes nothing.
+    so leaving it in the envelope changes nothing. At the winning anchor the
+    answer is the first alive entry of ``rival_list``.
     """
     c = W[:, t_idx, None]                                 # (n, 1)
     thr = 2.5 * eps
@@ -180,40 +181,69 @@ def pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope):
     hits = viol.any(axis=1)
     if not hits.any():
         return None
-
-    # at the winning anchor: the first rival pair, then its first action
     w = int(np.argmax(hits))
-    xs = np.flatnonzero(viol[w])
-    far = np.abs(P[:, xs, :] - c[w]) > thr               # (n_sub, |xs|, n)
-    rival = far.any(axis=1) & (alive != 0)
-    rival[m_idx, t_idx] = False
-    mp, tp = divmod(int(np.argmax(rival)), rival.shape[1])
-    x = int(xs[np.argmax(far[mp, :, tp])])
-    return (w, mp, tp, x)
+    rivals, actions = rival_list(P, W, m_idx, t_idx, w, eps)
+    first = int(np.argmax(alive.reshape(-1)[rivals] != 0))
+    mp, tp = divmod(int(rivals[first]), alive.shape[1])
+    return (w, mp, tp, int(actions[first]))
 
 
-def _scan(candidates: CandidateSets, alive: np.ndarray, envelope: Envelope,
-          start: int):
-    """First violating (m_idx, t_idx, w, mp, tp, x) whose primary sits at or
-    after flat pair ``start``, or None.
+def rival_list(P, W, m_idx, t_idx, w, eps):
+    """Every family far from the primary's anchor value at some action of its
+    group around anchor w, alive or not: (flat pairs ascending, the first
+    such action of each).
+
+    A family (mp, tp) is far at x when |P[mp, x, tp] - W[w, t_idx]| >
+    5*eps/2. The primary is never far on its own group, so it is not listed.
+    The first alive entry is the primary's first violation at w for any
+    ``alive``: an alive family far at a group action pushes the envelope out
+    there too, so the envelope test keeps that action.
+    """
+    c = W[w, t_idx]
+    group = np.flatnonzero(np.abs(P[m_idx, :, t_idx] - c) <= 0.5 * eps)
+    far = np.abs(P[:, group, :] - c) > 2.5 * eps        # (n_sub, |group|, n)
+    n_pairs = P.shape[0] * P.shape[2]
+    far = far.transpose(0, 2, 1).reshape(n_pairs, group.size)
+    rivals = np.flatnonzero(far.any(axis=1))
+    return rivals, group[far[rivals].argmax(axis=1)]
+
+
+def _violations(candidates: CandidateSets, alive: np.ndarray):
+    """Yield each step's violating (m_idx, t_idx, w, mp, tp, x); the caller
+    kills the primary or the rival before asking for the next.
 
     A rival is any surviving family (M', t') distinct from the primary as a
     pair; two estimators on the same index set do test each other. (The
     termination guarantee needs the true family admissible as a rival for
     every survivor, same-support ones included.) Primaries scan by flat pair
     (M, t), then ``pair_first_violation`` order.
+
+    The scan resumes where the last step left it. Families only die, so
+    every primary before the last one stays clean, and so do the anchors
+    before the last one. At that anchor the next violation is the next alive entry of
+    its rival list, so a step whose primary survives walks the list; only an
+    exhausted list sends the primary back to an anchor search, with the
+    envelope refreshed just before it (its cursors only move forward, so one
+    refresh after many kills lands where one per kill would).
     """
+    P, W, eps = candidates.projections, candidates.anchors, candidates.epsilon
     n = candidates.n_net
-    for pair in range(start, candidates.n_pairs):
+    flat = alive.reshape(-1)
+    envelope = Envelope(P, alive)
+    for pair in range(candidates.n_pairs):
         m_idx, t_idx = divmod(pair, n)
-        if not alive[m_idx, t_idx]:
-            continue
-        hit = pair_first_violation(candidates.projections, candidates.anchors,
-                                   alive, m_idx, t_idx, candidates.epsilon,
-                                   envelope)
-        if hit is not None:
-            return (m_idx, t_idx) + hit
-    return None
+        while flat[pair]:
+            envelope.refresh(alive)
+            hit = pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope)
+            if hit is None:
+                break
+            w = hit[0]
+            rivals, actions = rival_list(P, W, m_idx, t_idx, w, eps)
+            for rival, x in zip(rivals.tolist(), actions.tolist()):
+                if not flat[pair]:
+                    break
+                if flat[rival]:
+                    yield (m_idx, t_idx, w) + divmod(rival, n) + (x,)
 
 
 def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
@@ -226,8 +256,7 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
     (net size) * (number of subsets) queries and returns the first surviving
     family in scan order together with its post-hoc uniform error.
 
-    Each step's scan resumes at the last primary: every family before it is
-    dead or has no violation, and since rivals only die it stays so.
+    Each step resumes the scan where the last one left it (``_violations``).
     """
     if not instance.deterministic:
         raise ValidationError("parameter elimination requires a noiseless instance")
@@ -236,18 +265,10 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
     cand = build_candidate_sets(instance.features, net)
     eps = cand.epsilon
     alive = cand.fresh_alive()
-    envelope = Envelope(cand.projections, alive)
     n = cand.n_net
-    cursor = 0
     log: list[Event] = []
 
-    max_steps = cand.n_pairs + 1
-    for _ in range(max_steps):
-        found = _scan(cand, alive, envelope, cursor)
-        if found is None:
-            break
-        m_idx, t_idx, w_idx, mp, tp, x = found
-        cursor = m_idx * n + t_idx
+    for m_idx, t_idx, w_idx, mp, tp, x in _violations(cand, alive):
         reward = query(instance, x, ledger)
         anchor_value = float(cand.anchors[w_idx, t_idx])
         if abs(reward - anchor_value) > 1.5 * eps:
@@ -256,7 +277,6 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
         else:
             alive[mp, tp] = 0
             killed = "rival"
-        envelope.refresh(alive)
         log.append(Event("elimination", len(log), {
             "action": x, "reward": reward, "anchor": anchor_value,
             "primary": (m_idx, t_idx), "rival": (mp, tp), "killed": killed}))

@@ -67,14 +67,30 @@ def sparse_minimax_oracle(psi, targets, s, tol=1e-9):
 
 def greedy_pack_oracle(pool, min_sep):
     """Greedy packing by its definition: scan the pool in order and accept a
-    point iff its squared distance to every accepted point is >= min_sep**2."""
+    point iff its squared distance to every accepted point is >= min_sep**2.
+
+    Dense and blocked: each block of the pool is first tested against every
+    point accepted before it, then its survivors are taken in order, each
+    against the survivors accepted before it in the block. Every distance is
+    ((a - b)**2).sum() over the coordinate axis, the same reduction each time."""
     pool = np.asarray(pool, dtype=np.float64)
     sep2 = min_sep * min_sep
-    accepted = []
-    for i, p in enumerate(pool):
-        if not accepted or (((pool[accepted] - p) ** 2).sum(axis=1) >= sep2).all():
-            accepted.append(i)
-    return np.asarray(accepted, dtype=np.int64)
+    block = 128
+    accepted = np.empty(0, dtype=np.int64)
+    for lo in range(0, len(pool), block):
+        cand = np.arange(lo, min(lo + block, len(pool)))
+        for a in range(0, len(accepted), block):
+            acc = pool[accepted[a:a + block]]
+            d2 = ((acc[None, :, :] - pool[cand][:, None, :]) ** 2).sum(axis=2)
+            cand = cand[(d2 >= sep2).all(axis=1)]
+        pts = pool[cand]
+        ok = ((pts[None, :, :] - pts[:, None, :]) ** 2).sum(axis=2) >= sep2
+        keep = []
+        for j in range(len(cand)):
+            if ok[j, keep].all():
+                keep.append(j)
+        accepted = np.concatenate([accepted, cand[keep]])
+    return accepted
 
 
 def first_violation_oracle(P, W, alive, m_idx, t_idx, eps):

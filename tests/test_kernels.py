@@ -7,7 +7,8 @@ from helpers import first_violation_oracle, greedy_pack_oracle
 from sparsebandit import random_sparse_instance
 from sparsebandit.errors import ValidationError
 from sparsebandit.net import CoveringNet, build_separated_net, greedy_pack, sphere_pool
-from sparsebandit.param_elim import Envelope, build_candidate_sets, pair_first_violation
+from sparsebandit.param_elim import (Envelope, build_candidate_sets, pair_first_violation,
+                                     rival_list)
 
 
 def test_greedy_pack_matches_oracle():
@@ -113,6 +114,33 @@ def test_pair_first_violation_matches_oracle():
                 args = (cand.projections, cand.anchors, alive, m, t, cand.epsilon)
                 assert (pair_first_violation(*args, envelope)
                         == first_violation_oracle(*args))
+
+
+def test_rival_list_matches_its_definition():
+    """At anchors where the primary's group is not empty: every family far at
+    some group action, by a nested loop in scan order, with its first one."""
+    inst = random_sparse_instance(5, 2, 12, 0.5, seed=4)
+    net = build_separated_net(2, inst.epsilon, seed=4, pool_size=400)
+    cand = build_candidate_sets(inst.features, net)
+    P, W, eps = cand.projections, cand.anchors, cand.epsilon
+    near = np.abs(P[..., None] - W.T) <= 0.5 * eps      # near[m, x, t, w]
+    triples = np.argwhere(near.any(axis=1))             # (m, t, w) with a group
+    rng = np.random.default_rng(5)
+    listed = 0
+    for m, t, w in triples[rng.permutation(len(triples))[:40]].tolist():
+        c = W[w, t]
+        group = [x for x in range(inst.k) if abs(P[m, x, t] - c) <= 0.5 * eps]
+        want = []
+        for mp in range(cand.n_subsets):
+            for tp in range(cand.n_net):
+                far = [x for x in group if abs(P[mp, x, tp] - c) > 2.5 * eps]
+                if far:
+                    want.append((mp * cand.n_net + tp, far[0]))
+        rivals, actions = rival_list(P, W, m, t, w, eps)
+        assert list(zip(rivals.tolist(), actions.tolist())) == want
+        assert m * cand.n_net + t not in rivals
+        listed += len(want) > 0
+    assert listed > 30
 
 
 def test_envelope_tracks_alive_extremes():

@@ -15,10 +15,13 @@ from sparsebandit import (
     random_sparse_instance,
     uniform_error,
 )
+from sparsebandit import param_elim
 from sparsebandit.errors import GuardExceededError
 from sparsebandit.param_elim import (
+    Envelope,
     build_candidate_sets,
     mark_ground_truth,
+    pair_first_violation,
     run_parameter_elimination,
 )
 
@@ -184,6 +187,97 @@ def test_run_matches_a_restart_scan():
         got = [pick(e.fields) for e in res.log]
         assert got == restart_scan_log(inst, net)
         assert len(got) > 0
+
+
+def fresh_scan(cand, alive):
+    """First violating (m, t, w, mp, tp, x) over every alive primary from
+    pair 0, each tested by ``pair_first_violation`` against an envelope built
+    afresh for ``alive``; None if there is none."""
+    envelope = Envelope(cand.projections, alive)
+    for m, t in np.argwhere(alive).tolist():
+        hit = pair_first_violation(cand.projections, cand.anchors, alive, m, t,
+                                   cand.epsilon, envelope)
+        if hit is not None:
+            return (m, t) + hit
+    return None
+
+
+def test_each_step_is_a_fresh_scan_and_only_an_exhausted_list_searches(monkeypatch):
+    """Replays every run step by step against a fresh scan, and sorts each
+    step after the first by how the scan got there: the same primary at the
+    same anchor (the rival list walked on), the primary surviving but its list
+    exhausted (a later anchor or primary), or the primary killed. Only the
+    last two may search anchors."""
+    searches, marks = [], []        # marks: searches made before each query
+    search, query = param_elim.pair_first_violation, param_elim.query
+
+    def counting_search(*args):
+        searches.append(args[3:5])
+        return search(*args)
+
+    def marking_query(*args):
+        marks.append(len(searches))
+        return query(*args)
+
+    monkeypatch.setattr(param_elim, "pair_first_violation", counting_search)
+    monkeypatch.setattr(param_elim, "query", marking_query)
+    cases = [(random_sparse_instance(4, 2, 12, 0.6, seed=seed), seed, 300)
+             for seed in range(3)]
+    cases.append((random_sparse_instance(5, 2, 16, 0.4, seed=7), 7, 600))
+    branches = {"walk": 0, "exhausted": 0, "primary killed": 0}
+    for inst, seed, pool in cases:
+        net = seeded_net_for(inst, seed=seed, pool_size=pool)
+        searches.clear()
+        marks.clear()
+        res = run_parameter_elimination(inst, QueryLedger(), net=net)
+        cand = res.candidates
+        alive = cand.fresh_alive()
+        previous = None
+        for i, event in enumerate(res.log):
+            m, t, w, mp, tp, x = fresh_scan(cand, alive)
+            step = event.fields
+            assert (step["action"], step["primary"], step["rival"], step["anchor"]) == (
+                x, (m, t), (mp, tp), float(cand.anchors[w, t]))
+            searched = marks[i] - (marks[i - 1] if i else 0)
+            if previous is not None:
+                last, last_w, killed = previous
+                if killed == "primary":
+                    branches["primary killed"] += 1
+                    assert searched >= 1
+                elif last == (m, t) and last_w == w:
+                    branches["walk"] += 1
+                    assert searched == 0
+                else:
+                    branches["exhausted"] += 1
+                    assert searched >= 1
+            alive[step[step["killed"]]] = 0
+            previous = ((m, t), w, step["killed"])
+        assert fresh_scan(cand, alive) is None
+    assert min(branches.values()) > 0, branches
+
+
+def test_degenerate_runs_match_a_restart_scan():
+    """Duplicated action rows (with their own misspecification), s = d, and
+    epsilon = 2, where no violation can exist."""
+    base = random_sparse_instance(4, 2, 12, 0.6, seed=4)
+    phi = np.vstack([base.features.matrix, base.features.matrix[:6]])
+    nu = np.concatenate([base.misspec, -base.misspec[:6]])
+    duplicated = build_instance(phi, base.theta_star.coords, nu, base.epsilon)
+    cases = [(duplicated, 4, 300),
+             (random_sparse_instance(2, 2, 10, 0.3, seed=2), 2, 2000),
+             (random_sparse_instance(3, 3, 12, 0.6, seed=5), 5, 2000),
+             (random_sparse_instance(4, 1, 10, 2.0, seed=3), 3, 2000),
+             (random_sparse_instance(3, 2, 10, 2.0, seed=6), 6, 300)]
+    pick = itemgetter("action", "primary", "rival", "killed")
+    lengths = []
+    for inst, seed, pool in cases:
+        net = seeded_net_for(inst, seed=seed, pool_size=pool)
+        res = run_parameter_elimination(inst, QueryLedger(), net=net)
+        got = [pick(e.fields) for e in res.log]
+        assert got == restart_scan_log(inst, net)
+        assert res.final_error <= 4 * inst.epsilon + 1e-9
+        lengths.append(len(got))
+    assert min(lengths[:3]) > 0 and lengths[3:] == [0, 0]
 
 
 def test_run_with_huge_epsilon_is_vacuous():
