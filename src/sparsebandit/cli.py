@@ -7,11 +7,12 @@ comment. List-valued keys take comma-separated entries without spaces.
                  random-baseline   (comma list allowed with the sweep command)
     source       random-sparse | explicit-file | hard-instance
     instance_file  path            (explicit-file source)
-    d            grid list of feature dimensions
-    s            grid list of sparsities
+    d            grid list of feature dimensions, each >= 1
+    s            grid list of sparsities, each >= 1
     epsilon      grid list; misspecification bound, or the orthogonality
                  level when source = hard-instance
-    k            grid list of action counts (hard-instance: 0 = threshold)
+    k            grid list of action counts, each >= 0 (hard-instance: 0 =
+                 threshold)
     delta        grid list of reward gaps (hard-instance embedding and the
                  random-baseline target)
     seeds        list of seeds, each >= 0
@@ -20,7 +21,6 @@ comment. List-valued keys take comma-separated entries without spaces.
     c            hard-instance regime constant (default 2.0)
     tau          hard-instance slack (default 0.1)
     hard_delta   hard-instance failure budget (default 0.25)
-    i_star       hidden index for hard-instance embedding (default 0)
     budget       query budget for benign elimination (default 50*k)
     kappa        bound constant for the compressed algorithms (default 10.0)
     pool_size    net pool override for param-elim, >= 1 (default: library
@@ -70,6 +70,7 @@ from .hardness import (
 from .model import (
     NORM_TOL,
     QueryLedger,
+    _fmt,
     load_instance,
     random_sparse_instance,
     save_instance,
@@ -104,7 +105,6 @@ class ExperimentConfig:
     c: float = 2.0
     tau: float = 0.1
     hard_delta: float = 0.25
-    i_star: int = 0
     budget: int | None = None
     kappa: float = KAPPA_DEFAULT
     pool_size: int | None = None
@@ -133,22 +133,14 @@ class RunRecord:
         return [_fmt(getattr(self, col)) for col in CSV_COLUMNS]
 
 
-def _fmt(x):
-    """One spelling for every CSV value: .17g reals, true/false."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 _INT_LIST = {"d", "s", "k", "seeds"}
 _FLOAT_LIST = {"epsilon", "delta"}
 _FLOATS = {"c_const", "c_jl", "c", "tau", "hard_delta", "kappa"}
-_INTS = {"i_star", "budget", "pool_size"}
+_INTS = {"budget", "pool_size"}
 _BOOLS = {"seed_net", "measure_time"}
 _STRINGS = {"source", "instance_file", "output", "log_output"}
 _POSITIVE = {"epsilon", "delta", "c_const", "c_jl", "kappa"}
+_AT_LEAST = {"d": 1, "s": 1, "k": 0, "seeds": 0, "pool_size": 1}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -187,19 +179,13 @@ def parse_config(path) -> ExperimentConfig:
         value, line_no = values.pop(key)
         try:
             if key in _INT_LIST:
-                ints = [int(v) for v in value.split(",")]
-                if key == "seeds" and min(ints) < 0:
-                    raise ValueError("seeds must be >= 0")
-                setattr(cfg, key, ints)
+                setattr(cfg, key, [int(v) for v in value.split(",")])
             elif key in _FLOAT_LIST:
                 setattr(cfg, key, [float(v) for v in value.split(",")])
             elif key in _FLOATS:
                 setattr(cfg, key, float(value))
             elif key in _INTS:
-                number = int(value)
-                if key == "pool_size" and number < 1:
-                    raise ValueError("pool_size must be >= 1")
-                setattr(cfg, key, number)
+                setattr(cfg, key, int(value))
             elif key in _BOOLS:
                 if value not in ("0", "1"):
                     raise ValueError("expected 0 or 1")
@@ -212,6 +198,8 @@ def parse_config(path) -> ExperimentConfig:
                 raise ValueError("unknown key")
             if key in _POSITIVE and not np.all(np.asarray(getattr(cfg, key)) > 0):
                 raise ValueError(f"{key} must be > 0")
+            if key in _AT_LEAST and np.min(getattr(cfg, key)) < _AT_LEAST[key]:
+                raise ValueError(f"{key} must be >= {_AT_LEAST[key]}")
         except ValueError as exc:
             raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
 
@@ -233,14 +221,13 @@ def _grid(cfg: ExperimentConfig):
 
 
 def _hard_instance(cfg, d, s, eps, k, delta, seed):
-    """Validated hard matrix with the hidden index embedded; returns
+    """Validated hard matrix with the hidden index embedded at row 0; returns
     (instance, attempts, rejection reports)."""
     spec = HardMatrixSpec(d=d, s=s, epsilon=eps, tau=cfg.tau,
                           delta=cfg.hard_delta, seed=seed,
                           k=k if k > 0 else None, c=cfg.c)
     features, attempts, reports = generate_validated(spec)
-    instance = embed_index_query(features, cfg.i_star, delta,
-                                 epsilon=2.0 * delta * eps)
+    instance = embed_index_query(features, 0, delta, epsilon=2.0 * delta * eps)
     return instance, attempts, reports
 
 

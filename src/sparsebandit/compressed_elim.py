@@ -125,14 +125,11 @@ def run_benign_elimination(instance: BanditInstance, cmap: CompressionMap,
 
 
 def compressed_uniform_error(instance: BanditInstance, cmap: CompressionMap,
-                             theta_f, row_indices=None) -> float:
-    """Harness-side: max |r_a - <f(a), theta_f>| over the listed actions."""
-    if row_indices is None:
-        row_indices = np.arange(instance.k)
-    row_indices = np.asarray(row_indices, dtype=np.intp)
-    frows = cmap.apply(instance.features.matrix[row_indices])
+                             theta_f) -> float:
+    """Harness-side: max |r_a - <f(a), theta_f>| over every action."""
+    frows = cmap.apply(instance.features.matrix)
     preds = frows @ np.asarray(theta_f, dtype=np.float64)
-    return float(np.max(np.abs(instance.rewards[row_indices] - preds)))
+    return float(np.max(np.abs(instance.rewards - preds)))
 
 
 def corollary_regime_check(s: int, delta: float, epsilon: float, k: int) -> bool:

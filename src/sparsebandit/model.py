@@ -285,8 +285,13 @@ _HEADER_KEYS = ("k", "d", "s", "epsilon", "noise", "noise_scale", "seed",
                 "orthogonality", "theta_norm_bypassed")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _fmt(x) -> str:
+    """One spelling for every written value: .17g reals, true/false."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
 
 
 def save_instance(instance: BanditInstance, path) -> None:

@@ -156,7 +156,8 @@ class Envelope:
 
 
 def pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope):
-    """First violating tuple for the primary family (m_idx, t_idx).
+    """Anchor search for the primary family (m_idx, t_idx): the first anchor w
+    with a violation, and its rival list.
 
     A tuple (w, mp, tp, x) violates when the action x lies in the primary
     family's group around anchor w (|P[m_idx,x,t_idx] - W[w,t_idx]| <= eps/2)
@@ -164,16 +165,17 @@ def pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope):
     more than 5*eps/2 away from the anchor value W[w, t_idx].
 
     Scan order: w ascending, then rival pairs (mp, tp) lexicographic, then x
-    ascending. Returns (w, mp, tp, x) or None. ``envelope`` is an
-    ``Envelope`` current for ``alive``.
+    ascending. Returns (w, rivals, actions) with ``rival_list`` at w, or None.
+    ``envelope`` is first refreshed for ``alive``.
 
     Anchor w has a violating action iff some x in its group has
     fl(hi[x] - c_w) > 5*eps/2 or fl(lo[x] - c_w) < -5*eps/2: rounded
     subtraction is monotone, so no alive value lies further out than the
     envelope. The primary's own value at such an x is within eps/2 of c_w,
     so leaving it in the envelope changes nothing. At the winning anchor the
-    answer is the first alive entry of ``rival_list``.
+    first violation is the first alive entry of the rival list.
     """
+    envelope.refresh(alive)
     c = W[:, t_idx, None]                                 # (n, 1)
     thr = 2.5 * eps
     near = np.abs(P[m_idx, :, t_idx] - c) <= 0.5 * eps    # (n, k)
@@ -182,10 +184,7 @@ def pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope):
     if not hits.any():
         return None
     w = int(np.argmax(hits))
-    rivals, actions = rival_list(P, W, m_idx, t_idx, w, eps)
-    first = int(np.argmax(alive.reshape(-1)[rivals] != 0))
-    mp, tp = divmod(int(rivals[first]), alive.shape[1])
-    return (w, mp, tp, int(actions[first]))
+    return (w,) + rival_list(P, W, m_idx, t_idx, w, eps)
 
 
 def rival_list(P, W, m_idx, t_idx, w, eps):
@@ -220,11 +219,12 @@ def _violations(candidates: CandidateSets, alive: np.ndarray):
 
     The scan resumes where the last step left it. Families only die, so
     every primary before the last one stays clean, and so do the anchors
-    before the last one. At that anchor the next violation is the next alive entry of
-    its rival list, so a step whose primary survives walks the list; only an
-    exhausted list sends the primary back to an anchor search, with the
-    envelope refreshed just before it (its cursors only move forward, so one
-    refresh after many kills lands where one per kill would).
+    before the last one. At that anchor the next violation is the next alive
+    entry of the rival list the anchor search returned, so a step whose
+    primary survives walks that list; only an exhausted list sends the
+    primary back to an anchor search, which refreshes the envelope first (its
+    cursors only move forward, so one refresh after many kills lands where
+    one per kill would).
     """
     P, W, eps = candidates.projections, candidates.anchors, candidates.epsilon
     n = candidates.n_net
@@ -233,12 +233,10 @@ def _violations(candidates: CandidateSets, alive: np.ndarray):
     for pair in range(candidates.n_pairs):
         m_idx, t_idx = divmod(pair, n)
         while flat[pair]:
-            envelope.refresh(alive)
             hit = pair_first_violation(P, W, alive, m_idx, t_idx, eps, envelope)
             if hit is None:
                 break
-            w = hit[0]
-            rivals, actions = rival_list(P, W, m_idx, t_idx, w, eps)
+            w, rivals, actions = hit
             for rival, x in zip(rivals.tolist(), actions.tolist()):
                 if not flat[pair]:
                     break

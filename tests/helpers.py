@@ -111,6 +111,17 @@ def first_violation_oracle(P, W, alive, m_idx, t_idx, eps):
     return None
 
 
+def first_alive(hit, alive):
+    """The first violation (w, mp, tp, x) an anchor search's hit
+    (w, rivals, actions) names: its first alive rival; None for None."""
+    if hit is None:
+        return None
+    w, rivals, actions = hit
+    first = int(np.argmax(alive.reshape(-1)[rivals] != 0))
+    mp, tp = divmod(int(rivals[first]), alive.shape[1])
+    return (w, mp, tp, int(actions[first]))
+
+
 def retained_columns_qr_oracle(rows):
     """Frank-Wolfe column selection as written on ``scipy.linalg.qr``: the
     pivots whose |diag R| exceeds 1e-10, in ascending order."""

@@ -1,11 +1,13 @@
 """Acceptance suite: every guarantee the library promises, at its stated
 tolerance, one pass/fail line per criterion (run with -s to see them all).
 
-The two bound constants below were frozen after one calibration sweep
-(benchmarks/calibrate_constants.py) and must not be re-tuned per run.
+The two bound constants below were frozen after one calibration sweep and
+must not be re-tuned per run; the compressed-elimination and pipeline tests
+print their worst measured ratios under -s.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from helpers import sparse_minimax_oracle
@@ -33,6 +35,7 @@ from sparsebandit.design import (
 from sparsebandit.design_elim import run_design_elimination
 from sparsebandit.errors import CertificationError
 from sparsebandit.hardness import (
+    PAIRWISE_TOL,
     HardMatrixSpec,
     embed_index_query,
     generate_validated,
@@ -241,6 +244,28 @@ def test_hard_instance_certification():
     _report("hard instances: validated matrix at k = threshold within 100 "
             "retries, all three exhaustive checks", True,
             f"k={k}, attempts={attempts}")
+
+
+def test_hard_instance_pairwise_certificate():
+    """At k = 64 (2,016 pairs), every row has s entries +-1/sqrt(s), so a
+    pair's inner product is the integer sum of sign products over their
+    shared coordinates, divided by s. The bound |<a_i, a_j>| <= eps is
+    certified on that integer sum, and the float products must match it."""
+    spec = replace(HARD_SPEC, k=64)
+    features, attempts, _ = generate_validated(spec, max_retries=100)
+    m = features.matrix
+    assert m.shape[0] == spec.k
+    assert np.all(np.count_nonzero(m, axis=1) == spec.s)
+    signs = np.sign(m).astype(np.int64)
+    pairs = np.triu_indices(spec.k, k=1)
+    sums = (signs @ signs.T)[pairs]
+    rounding = float(np.max(np.abs((m @ m.T)[pairs] - sums / spec.s)))
+    assert rounding <= PAIRWISE_TOL
+    worst = int(np.max(np.abs(sums)))
+    _report("hard instances: exact pairwise certificate |sum of shared sign "
+            "products| <= eps*s on every pair at k = 64", worst <= spec.epsilon * spec.s,
+            f"pairs={sums.size}, worst |sum|={worst} vs {spec.epsilon * spec.s:g}, "
+            f"float rounding {rounding:.2g}, attempts={attempts}")
 
 
 def test_hard_instance_failure_rate_budgets():

@@ -83,13 +83,23 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
                                           ("colour blue", "'colour': unknown key"),
                                           ("source moon", "expected one of"),
                                           ("source explicit-file",
-                                           "needs 'instance_file'")])
+                                           "needs 'instance_file'"),
+                                          ("d 0", "d must be >= 1"),
+                                          ("s 1,0", "s must be >= 1"),
+                                          ("k -3", "k must be >= 0"),
+                                          ("source hard-instance\nk -5",
+                                           "k must be >= 0")])
 def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys, line, message):
+    """The case's last line is the bad one; a base line setting a key the
+    case sets is removed, except where the duplicate is the error."""
     out = tmp_path / "bad.csv"
-    lines = ["algorithm param-elim", "d 3", "s 1", "epsilon 0.5", "k 8", line,
-             f"output {out}"]
-    if line.startswith("epsilon "):
-        lines.remove("epsilon 0.5")
+    case = line.split("\n")
+    line = case[-1]
+    lines = ["algorithm param-elim", "d 3", "s 1", "epsilon 0.5", "k 8"]
+    if not message.startswith("duplicate"):
+        keys = {entry.split()[0] for entry in case}
+        lines = [kept for kept in lines if kept.split()[0] not in keys]
+    lines += case + [f"output {out}"]
     path = write_config(tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=f":{lines.index(line) + 1}: .*{message}"):
         parse_config(path)

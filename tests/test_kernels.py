@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import first_violation_oracle, greedy_pack_oracle
+from helpers import first_alive, first_violation_oracle, greedy_pack_oracle
 
 from sparsebandit import random_sparse_instance
 from sparsebandit.errors import ValidationError
@@ -112,7 +112,7 @@ def test_pair_first_violation_matches_oracle():
                 if not alive[m, t]:
                     continue
                 args = (cand.projections, cand.anchors, alive, m, t, cand.epsilon)
-                assert (pair_first_violation(*args, envelope)
+                assert (first_alive(pair_first_violation(*args, envelope), alive)
                         == first_violation_oracle(*args))
 
 
@@ -183,4 +183,5 @@ def test_violation_threshold_is_strict_in_floating_point():
     for c, values, want in cases:
         args = _boundary_case(c, values)
         assert first_violation_oracle(*args) == want
-        assert pair_first_violation(*args, Envelope(args[0], args[2])) == want
+        hit = pair_first_violation(*args, Envelope(args[0], args[2]))
+        assert first_alive(hit, args[2]) == want

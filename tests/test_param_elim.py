@@ -5,7 +5,7 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
-from helpers import first_violation_oracle
+from helpers import first_alive, first_violation_oracle
 
 from sparsebandit import (
     QueryLedger,
@@ -195,8 +195,9 @@ def fresh_scan(cand, alive):
     afresh for ``alive``; None if there is none."""
     envelope = Envelope(cand.projections, alive)
     for m, t in np.argwhere(alive).tolist():
-        hit = pair_first_violation(cand.projections, cand.anchors, alive, m, t,
-                                   cand.epsilon, envelope)
+        hit = first_alive(pair_first_violation(cand.projections, cand.anchors,
+                                               alive, m, t, cand.epsilon, envelope),
+                          alive)
         if hit is not None:
             return (m, t) + hit
     return None
@@ -254,6 +255,33 @@ def test_each_step_is_a_fresh_scan_and_only_an_exhausted_list_searches(monkeypat
             previous = ((m, t), w, step["killed"])
         assert fresh_scan(cand, alive) is None
     assert min(branches.values()) > 0, branches
+
+
+def test_rival_list_is_built_once_per_hitting_anchor_search(monkeypatch):
+    """The walk follows the list the anchor search returned, so each search
+    that hits builds one rival list and a search that misses builds none."""
+    hits, lists = [], []
+    search, build = param_elim.pair_first_violation, param_elim.rival_list
+
+    def counting_search(*args):
+        hit = search(*args)
+        hits.append(hit is not None)
+        return hit
+
+    def counting_list(*args):
+        lists.append(args[2:5])
+        return build(*args)
+
+    monkeypatch.setattr(param_elim, "pair_first_violation", counting_search)
+    monkeypatch.setattr(param_elim, "rival_list", counting_list)
+    for seed in range(3):
+        inst = random_sparse_instance(4, 2, 12, 0.6, seed=seed)
+        hits.clear()
+        lists.clear()
+        run_parameter_elimination(inst, QueryLedger(),
+                                  net=seeded_net_for(inst, seed=seed, pool_size=300))
+        assert sum(hits) > 0 and not all(hits)
+        assert len(lists) == sum(hits)
 
 
 def test_degenerate_runs_match_a_restart_scan():
