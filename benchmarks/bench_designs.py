@@ -21,6 +21,12 @@ scan:
   epsilon 0.6, for s = 2 and for s = 3, over seeds 1-3, on nets built (and
   seeded with the true restriction, as the CLI does) before the clock
   starts; counts elimination steps and queries over the three seeds.
+- ``one-shot <algorithm>``: ``sparsebandit run`` of one grid point in a
+  fresh interpreter, timed from spawning the process to its exit, so the
+  imports count: param-elim at (d, s, k, epsilon) = (6, 3, 16, 0.6),
+  design-elim at (40, 2, 500, 0.1) and general-features at (8, 2, 40, 0.05),
+  seed 0; counts the CSV's queries and records the scipy subpackages the
+  run loaded.
 
 The package is imported from ``--src`` (default: this checkout's ``src``),
 so a checkout of another commit can be timed into the same file. The
@@ -33,12 +39,15 @@ environment sets it.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,7 +59,10 @@ WORKLOADS = (("design-elim phase 1", 40, 2, 500, 0.1),
              ("design-elim phase 1", 16, 3, 300, 0.1),
              ("collect_representatives", 14, 2, 56, 0.05),
              ("param-elim loop", 6, 2, 16, 0.6),
-             ("param-elim loop", 6, 3, 16, 0.6))
+             ("param-elim loop", 6, 3, 16, 0.6),
+             ("one-shot param-elim", 6, 3, 16, 0.6),
+             ("one-shot design-elim", 40, 2, 500, 0.1),
+             ("one-shot general-features", 8, 2, 40, 0.05))
 PARAM_SEEDS = (1, 2, 3)
 COUNTS = ("designs", "steps", "queries")
 
@@ -112,9 +124,47 @@ def param_loop(d, s, k, eps):
     return run
 
 
+# what the ``sparsebandit`` console script runs, with argv[1] (the package's
+# src directory) first on the path; prints the public scipy subpackages the
+# run loaded as its last line
+ONE_SHOT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from sparsebandit.cli import main
+code = main(["run", sys.argv[2]])
+loaded = {name.split(".")[1] for name in sys.modules if name.startswith("scipy.")}
+print(" ".join(sorted(sub for sub in loaded if not sub.startswith("_"))))
+sys.exit(code)
+"""
+
+
+def one_shot(algorithm):
+    """One ``sparsebandit run`` of ``algorithm`` at a grid point, in a fresh
+    process; BLAS threads are inherited from this one."""
+    def prepare(d, s, k, eps):
+        import sparsebandit
+
+        src = str(Path(sparsebandit.__file__).resolve().parents[1])
+
+        def run():
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "run.csv"
+                cfg.write_text(f"algorithm {algorithm}\nd {d}\ns {s}\n"
+                               f"epsilon {eps}\nk {k}\nseeds 0\noutput {out}\n")
+                proc = subprocess.run([sys.executable, "-c", ONE_SHOT, src, str(cfg)],
+                                      capture_output=True, text=True, check=True)
+                with open(out, newline="") as fh:
+                    queries = int(next(csv.DictReader(fh))["queries"])
+            return {"queries": queries, "scipy": proc.stdout.splitlines()[-1].split()}
+        return run
+    return prepare
+
+
 PREPARE = {"design-elim phase 1": phase_one,
            "collect_representatives": collect,
-           "param-elim loop": param_loop}
+           "param-elim loop": param_loop,
+           **{f"one-shot {alg}": one_shot(alg)
+              for alg in ("param-elim", "design-elim", "general-features")}}
 
 
 def measure(name, d, s, k, eps, runs):
@@ -178,9 +228,10 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     for r in results:
         counts = "  ".join(f"{key} {value}" for key, value in counts_of(r).items())
-        print(f"{args.label:>8} {r['workload']:<24} d={r['d']:<3} s={r['s']} "
+        scipy = f"  scipy {' '.join(r['scipy'])}" if "scipy" in r else ""
+        print(f"{args.label:>8} {r['workload']:<25} d={r['d']:<3} s={r['s']} "
               f"k={r['k']:<4} best {r['best_s']:.4f} s  median "
-              f"{r['median_s']:.4f} s  spread {r['spread_s']:.4f} s  {counts}")
+              f"{r['median_s']:.4f} s  spread {r['spread_s']:.4f} s  {counts}{scipy}")
     return 0
 
 

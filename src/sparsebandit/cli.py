@@ -160,7 +160,7 @@ def parse_config(path) -> ExperimentConfig:
             values[key] = (value, line_no)
 
     cfg = ExperimentConfig(algorithms=[])
-    source_line = values.get("source", (None, None))[1]
+    lines = {key: line_no for key, (_, line_no) in values.items()}
 
     def take(key):
         return values.pop(key, (None, None))
@@ -205,7 +205,13 @@ def parse_config(path) -> ExperimentConfig:
 
     if cfg.source == "explicit-file" and not cfg.instance_file:
         raise ConfigError(
-            f"{path}:{source_line}: source explicit-file needs 'instance_file'")
+            f"{path}:{lines['source']}: source explicit-file needs 'instance_file'")
+    # random_sparse_instance puts the 2d signed basis rows first
+    if cfg.source == "random-sparse" and min(cfg.k) < 2 * max(cfg.d):
+        key = max(("d", "k"), key=lambda name: lines.get(name, 0))
+        raise ConfigError(
+            f"{path}:{lines[key]}: bad value for {key!r}: random-sparse needs "
+            f"k >= 2d, got k {min(cfg.k)} with d {max(cfg.d)}")
     return cfg
 
 

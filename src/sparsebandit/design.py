@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceError, DimensionMismatchError, ValidationError
 from .model import BanditInstance, QueryLedger, query
@@ -56,8 +55,8 @@ class DesignDistribution:
     iterations: int
 
 
-_GEQP3, = get_lapack_funcs(("geqp3",))
-_GEQP3_LWORK: dict = {}     # block shape -> dgeqp3's own workspace answer
+# block shape -> (dgeqp3, its own workspace answer for that shape)
+_GEQP3: dict = {}
 
 
 def _pivoted_qr(a: np.ndarray):
@@ -68,14 +67,19 @@ def _pivoted_qr(a: np.ndarray):
     same; it skips the wrapper's finite check and the Q that would be
     formed and thrown away. A workspace of another size can select another
     blocking and change bits; dgeqp3's answer depends only on the shape of
-    A, so the query runs once per shape.
+    A, so the query runs once per shape. scipy.linalg is imported there
+    too, so a run that computes no design never loads it.
     """
     if a.size == 0:
         return np.empty(0), np.arange(a.shape[1], dtype=np.int32)
-    lwork = _GEQP3_LWORK.get(a.shape)
-    if lwork is None:
-        lwork = _GEQP3_LWORK[a.shape] = int(_GEQP3(a, lwork=-1)[3][0])
-    qr_a, piv = _GEQP3(a, lwork=lwork)[:2]
+    call = _GEQP3.get(a.shape)
+    if call is None:
+        from scipy.linalg import get_lapack_funcs
+
+        geqp3, = get_lapack_funcs(("geqp3",))
+        call = _GEQP3[a.shape] = (geqp3, int(geqp3(a, lwork=-1)[3][0]))
+    geqp3, lwork = call
+    qr_a, piv = geqp3(a, lwork=lwork)[:2]
     return abs(qr_a.diagonal()), piv - 1
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import GuardExceededError, NormBoundError, ValidationError
 from .model import NORM_TOL
@@ -30,6 +29,8 @@ def _closer_than(points: np.ndarray, sep: float) -> bool:
     below sep*(1-PACK_BAND) is too close outright, and only the pairs the
     tree puts within sep*(1+PACK_BAND) get the exact squared-distance test.
     """
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     nearest = tree.query(points, k=2)[0][:, 1].min()
     if nearest < sep * (1.0 - PACK_BAND):
@@ -99,6 +100,8 @@ def greedy_pack(pool, min_sep):
     indices are those of the direct scan. Within a chunk, each accepted
     candidate blocks its neighbours by the exact test.
     """
+    from scipy.spatial import cKDTree
+
     pool = np.ascontiguousarray(pool, dtype=np.float64)
     m = pool.shape[0]
     sep2 = min_sep * min_sep

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.optimize import linprog
 
 from .compressed_elim import run_benign_elimination
 from .compression import choose_target_dim, find_certified_map
@@ -94,6 +92,14 @@ def collect_representatives(features: FeatureMatrix, s: int) -> RepresentativeSe
     )
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call: only the
+    general-features recovery solves LPs, so no other run loads HiGHS."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _restricted_minimax(psi_m: np.ndarray, targets: np.ndarray):
     """Exact minimizer of max_i |(psi_m theta - targets)_i| via one LP."""
     m, s = psi_m.shape
@@ -118,6 +124,8 @@ def _support_bounds(psi: np.ndarray, targets: np.ndarray, supports) -> np.ndarra
     range(Q) contains range(psi_M) even when psi_M is rank-deficient, so the
     bound never exceeds the least-squares one.
     """
+    from scipy.linalg import qr
+
     root_m = math.sqrt(psi.shape[0])
     bounds = np.empty(len(supports))
     for i, support in enumerate(supports):

@@ -88,7 +88,9 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
                                           ("s 1,0", "s must be >= 1"),
                                           ("k -3", "k must be >= 0"),
                                           ("source hard-instance\nk -5",
-                                           "k must be >= 0")])
+                                           "k must be >= 0"),
+                                          ("k 5", "random-sparse needs k >= 2d"),
+                                          ("d 5", "random-sparse needs k >= 2d")])
 def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys, line, message):
     """The case's last line is the bad one; a base line setting a key the
     case sets is removed, except where the duplicate is the error."""
@@ -164,6 +166,40 @@ output {out}
     assert record["bound_satisfied"] == "true"
     assert float(record["uniform_error"]) <= 4 * 0.1 + 1e-9
     assert int(record["queries"]) <= (4 / 0.1 + 1) * math.comb(4, 1)
+
+
+# perfbench/gate.py's query scales at d = 4, written out: (core(s) + 1) C(d, s)
+# for design elimination, core(s) core(d) for general features and the
+# compressed stage's budget of 1,200 for benign elimination, where
+# core(s) = ceil(4 s loglog max(s, 3) + 16) is 17 at s = 2 and 22 at s = 4
+DEGENERATE_QUERY_SCALE = {("design-elim", 4): 23, ("design-elim", 2): 108,
+                          ("general-features", 4): 484,
+                          ("general-features", 2): 374,
+                          ("benign-elim", 4): 1200, ("benign-elim", 2): 1200}
+
+
+@pytest.mark.parametrize("s,epsilon", [(4, 0.1), (2, 2.0)], ids=["s=d", "eps=2"])
+def test_degenerate_grid_points_through_the_other_learners(tmp_path, s, epsilon):
+    """s = d (a single subset) and epsilon = 2 (the largest epsilon the
+    parameter-elimination nets accept) run cleanly through design
+    elimination, benign elimination and general features."""
+    out = tmp_path / "run.csv"
+    path = write_config(tmp_path, f"""
+algorithm design-elim,benign-elim,general-features
+d 4
+s {s}
+epsilon {epsilon}
+k 12
+seeds 0,1,2
+output {out}
+""")
+    assert main(["sweep", str(path)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    for row in rows:
+        assert row["bound_satisfied"] == "true", row
+        assert int(row["queries"]) <= DEGENERATE_QUERY_SCALE[row["algorithm"], s], row
 
 
 def test_identical_config_gives_byte_identical_csv(tmp_path):
