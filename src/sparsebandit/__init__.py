@@ -9,11 +9,7 @@ instances with a hidden-index embedding, and a config-driven CLI that checks
 measured errors and query counts against the analytic bounds.
 """
 
-from .compressed_elim import (
-    compressed_uniform_error,
-    corollary_regime_check,
-    run_benign_elimination,
-)
+from .compressed_elim import compressed_uniform_error, run_benign_elimination
 from .compression import (
     CompressionMap,
     build_map,

@@ -1,7 +1,8 @@
 """Configuration-driven experiment runner.
 
 Config grammar: plain text, one `key value` pair per line, `#` starts a
-comment. List-valued keys take comma-separated entries without spaces.
+comment. List-valued keys take comma-separated entries without spaces, and
+every real must be finite.
 
     algorithm    param-elim | design-elim | benign-elim | general-features |
                  random-baseline   (comma list allowed with the sweep command)
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compressed_elim import compressed_uniform_error, run_benign_elimination
+from .compressed_elim import run_benign_elimination
 from .compression import build_map
 from .design_elim import check_subset_guard, run_design_elimination
 from .errors import (
@@ -74,6 +75,7 @@ from .model import (
     load_instance,
     random_sparse_instance,
     save_instance,
+    uniform_error,
 )
 from .net import build_separated_net, include_point
 from .param_elim import check_triple_guard, run_parameter_elimination
@@ -143,6 +145,13 @@ _POSITIVE = {"epsilon", "delta", "c_const", "c_jl", "kappa"}
 _AT_LEAST = {"d": 1, "s": 1, "k": 0, "seeds": 0, "pool_size": 1}
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite real, got {text!r}")
+    return value
+
+
 def parse_config(path) -> ExperimentConfig:
     """Parse the flat key/value grammar; errors carry 1-based line numbers."""
     values = {}
@@ -181,9 +190,9 @@ def parse_config(path) -> ExperimentConfig:
             if key in _INT_LIST:
                 setattr(cfg, key, [int(v) for v in value.split(",")])
             elif key in _FLOAT_LIST:
-                setattr(cfg, key, [float(v) for v in value.split(",")])
+                setattr(cfg, key, [_finite(v) for v in value.split(",")])
             elif key in _FLOATS:
-                setattr(cfg, key, float(value))
+                setattr(cfg, key, _finite(value))
             elif key in _INTS:
                 setattr(cfg, key, int(value))
             elif key in _BOOLS:
@@ -288,36 +297,33 @@ def _payload(fields):
 
 def _details(log, summary):
     """Detail rows (kind, step, payload): one per event of the learner's log,
-    then the run's summary at step len(log); none for a run with no summary."""
-    if summary is None:
-        return []
+    then the run's summary at step len(log)."""
     rows = [(e.kind, e.step, _payload(e.fields)) for e in log]
     rows.append(("summary", len(log), _payload(summary)))
     return rows
 
 
 # Runner table: each entry runs one algorithm on a prepared point and returns
-# (uniform error, chosen action, bound, event log, summary fields or None).
+# (predictions, pool, bound, event log, summary). The chosen action is the
+# best-predicted one in pool (None: every action), or pool's one action when
+# predictions is None; summary maps the uniform error to the summary fields.
 # Learners are looked up as module globals at call time, so wrappers set on
 # this module see them.
 
 def _run_param_elim(cfg, point, instance, net, ledger):
     res = run_parameter_elimination(instance, ledger, net=net)
-    preds = instance.features.matrix[:, list(res.index_set)] @ res.theta_hat
-    summary = {"triples_initial": res.initial_triples,
-               "triples_remaining": res.remaining_triples,
-               "queries": res.queries, "final_error": res.final_error}
-    return (res.final_error, int(np.argmax(preds)), 4.0 * instance.epsilon,
-            res.log, summary)
+    return res.predictions, None, 4.0 * instance.epsilon, res.log, lambda err: {
+        "triples_initial": res.initial_triples,
+        "triples_remaining": res.remaining_triples,
+        "queries": res.queries, "final_error": err}
 
 
 def _run_design_elim(cfg, point, instance, net, ledger):
     res = run_design_elimination(instance, ledger)
-    preds = instance.features.matrix[:, list(res.index_set)] @ res.theta_hat
     bound = 3.0 * instance.epsilon * (1.0 + math.sqrt(2.0 * instance.s))
-    summary = {"queries": res.queries, "phase1_queries": res.phase1_queries,
-               "final_error": res.final_error}
-    return res.final_error, int(np.argmax(preds)), bound, res.log, summary
+    return res.predictions, None, bound, res.log, lambda err: {
+        "queries": res.queries, "phase1_queries": res.phase1_queries,
+        "final_error": err}
 
 
 def _run_benign_elim(cfg, point, instance, net, ledger):
@@ -325,33 +331,31 @@ def _run_benign_elim(cfg, point, instance, net, ledger):
     budget = cfg.budget if cfg.budget is not None else 50 * instance.k
     res = run_benign_elimination(instance, cmap, budget, ledger,
                                  C_const=cfg.c_const)
-    err = compressed_uniform_error(instance, cmap, res.theta_f)
-    preds = cmap.apply(instance.features.matrix)[res.surviving] @ res.theta_f
+    preds = cmap.apply(instance.features.matrix) @ res.theta_f
     bound = cfg.kappa * (math.log(instance.k) ** 0.25
                          * math.sqrt(instance.epsilon) + instance.epsilon)
-    summary = {"queries": res.queries, "surviving": len(res.surviving),
-               "soundness_ok": res.soundness_ok, "final_error": err}
-    return err, int(res.surviving[int(np.argmax(preds))]), bound, res.log, summary
+    return preds, res.surviving, bound, res.log, lambda err: {
+        "queries": res.queries, "surviving": len(res.surviving),
+        "soundness_ok": res.soundness_ok, "final_error": err}
 
 
 def _run_general_features(cfg, point, instance, net, ledger):
     res = run_general_features(instance, ledger, c_jl=cfg.c_jl,
                                C_const=cfg.c_const, budget=cfg.budget)
-    preds = instance.features.matrix @ res.theta_hat
     bound = cfg.kappa * ((instance.s * math.log(instance.d)) ** 0.25
                          * math.sqrt(instance.s * instance.epsilon)
                          + instance.epsilon)
-    summary = {"phi": res.phi, "q": res.q, "psi_rows": res.psi_rows,
-               "recovery_objective": res.recovery_objective,
-               "support": "|".join(str(i) for i in res.recovered_support),
-               "error": res.final_error, "bound": bound,
-               "queries": res.queries, "map_seed": res.map_seed}
-    return res.final_error, int(np.argmax(preds)), bound, [], summary
+    return res.predictions, None, bound, [], lambda err: {
+        "phi": res.phi, "q": res.q, "psi_rows": res.psi_rows,
+        "recovery_objective": res.recovery_objective,
+        "support": "|".join(str(i) for i in res.recovered_support),
+        "error": err, "bound": bound,
+        "queries": res.queries, "map_seed": res.map_seed}
 
 
 def _run_random_baseline(cfg, point, instance, net, ledger):
     _, chosen = random_search(instance, point[-1], ledger)
-    return float("nan"), chosen, point[4], [], None   # bound: the reward gap delta
+    return None, [chosen], point[4], [], None   # bound: the reward gap delta
 
 
 RUNNERS = {
@@ -376,21 +380,25 @@ def run_experiment(cfg: ExperimentConfig):
         seed = point[-1]
         ledger = QueryLedger()
         t0 = time.perf_counter()
-        err, chosen, bound, log, summary = RUNNERS[alg](cfg, point, instance,
+        preds, pool, bound, log, summary = RUNNERS[alg](cfg, point, instance,
                                                         net, ledger)
         wall_ms = int(round((time.perf_counter() - t0) * 1000)) if cfg.measure_time else 0
+        if preds is None:   # no estimate: the bound is on pool's one action
+            err, chosen = float("nan"), int(pool[0])
+        else:
+            err = uniform_error(instance, preds)
+            chosen = int(np.argmax(preds) if pool is None else pool[np.argmax(preds[pool])])
         subopt = float(np.max(instance.rewards)) - float(instance.rewards[chosen])
-        # the baseline keeps no estimate, so its bound is on the suboptimality
-        satisfied = subopt <= bound if alg == "random-baseline" else err <= bound
+        satisfied = subopt <= bound if preds is None else err <= bound
         records.append(RunRecord(
             algorithm=alg, d=instance.d, s=instance.s, epsilon=instance.epsilon,
             k=instance.k, seed=seed, queries=len(ledger), uniform_error=err,
             suboptimality=subopt, bound=bound, bound_satisfied=bool(satisfied),
             wall_ms=wall_ms))
-        if cfg.log_output:
+        if cfg.log_output and summary is not None:
             prefix = [alg, instance.d, instance.s, _fmt(instance.epsilon),
                       instance.k, seed]
-            details.extend(prefix + list(row) for row in _details(log, summary))
+            details.extend(prefix + list(row) for row in _details(log, summary(err)))
     if cfg.log_output:
         _write_rows(cfg.log_output, DETAIL_COLUMNS, details)
     return records

@@ -18,7 +18,7 @@ import numpy as np
 from .compression import CompressionMap
 from .design import frank_wolfe_design, weighted_estimate
 from .errors import ValidationError
-from .model import BanditInstance, Event, QueryLedger, query
+from .model import BanditInstance, Event, QueryLedger, query, uniform_error
 
 
 @dataclass
@@ -127,14 +127,5 @@ def run_benign_elimination(instance: BanditInstance, cmap: CompressionMap,
 def compressed_uniform_error(instance: BanditInstance, cmap: CompressionMap,
                              theta_f) -> float:
     """Harness-side: max |r_a - <f(a), theta_f>| over every action."""
-    frows = cmap.apply(instance.features.matrix)
-    preds = frows @ np.asarray(theta_f, dtype=np.float64)
-    return float(np.max(np.abs(instance.rewards - preds)))
-
-
-def corollary_regime_check(s: int, delta: float, epsilon: float, k: int) -> bool:
-    """True iff log(k) <= epsilon^2 * s^(2*(1+delta)), the regime where the
-    compressed route needs only about s^(1+delta) queries."""
-    if delta < 1:
-        raise ValidationError("delta must be at least 1")
-    return math.log(k) <= epsilon ** 2 * s ** (2.0 * (1.0 + delta))
+    return uniform_error(instance, cmap.apply(instance.features.matrix)
+                         @ np.asarray(theta_f, dtype=np.float64))

@@ -24,7 +24,7 @@ from .design import (
     subset_blocks,
 )
 from .errors import EmptySurvivorError, GuardExceededError, ValidationError
-from .model import BanditInstance, Event, QueryLedger, query, uniform_error
+from .model import BanditInstance, Event, QueryLedger, query
 from .param_elim import subsets_of_size
 
 SUBSET_GUARD = 10 ** 5
@@ -48,7 +48,7 @@ class DesignElimResult:
     subsets: tuple
     alive: np.ndarray
     log: list
-    final_error: float
+    predictions: np.ndarray   # one per action, <a_M, theta_hat>
 
 
 def first_prediction_gap(preds: np.ndarray, alive: np.ndarray, threshold: float,
@@ -142,7 +142,7 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
         subsets=subsets,
         alive=alive,
         log=log,
-        final_error=uniform_error(instance, theta_hat, index_set),
+        predictions=instance.features.matrix[:, list(index_set)] @ theta_hat,
     )
 
 

@@ -230,17 +230,14 @@ def brute_force_best(instance: BanditInstance) -> tuple[int, float]:
     return best, float(instance.rewards[best])
 
 
-def uniform_error(instance: BanditInstance, theta_hat, index_set) -> float:
-    """max over actions of |r_a - <a_L, theta_hat>| for L = index_set."""
-    idx = np.asarray(list(index_set), dtype=np.intp)
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    if theta_hat.shape != (idx.size,):
+def uniform_error(instance: BanditInstance, predictions) -> float:
+    """max over actions of |r_a - pred_a|: the one error formula. Harness-side
+    only (reads the reward table); a learner returns its predictions."""
+    predictions = np.asarray(predictions, dtype=np.float64)
+    if predictions.shape != (instance.k,):
         raise DimensionMismatchError(
-            f"estimator length {theta_hat.shape} != index set size {idx.size}")
-    if idx.size and (idx.min() < 0 or idx.max() >= instance.d):
-        raise DimensionMismatchError("index set outside feature dimensions")
-    preds = instance.features.matrix[:, idx] @ theta_hat
-    return float(np.max(np.abs(instance.rewards - preds)))
+            f"predictions shape {predictions.shape} != ({instance.k},) actions")
+    return float(np.max(np.abs(instance.rewards - predictions)))
 
 
 def random_sparse_instance(d, s, k, epsilon, seed, *, noise=None,

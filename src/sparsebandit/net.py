@@ -8,6 +8,7 @@ recorded on the net so the coverage property stays reproducible.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,10 @@ def build_separated_net(s: int, epsilon: float, seed: int,
         raise ValidationError(f"dimension s must be >= 1, got {s}")
     if not (0.0 < epsilon <= 2.0):
         raise ValidationError(f"epsilon must be in (0, 2], got {epsilon}")
+    if (epsilon / 2.0) ** 2 < sys.float_info.min:
+        raise ValidationError(
+            f"(eps/2)**2 underflows at eps = {epsilon:.6g}: the exact test "
+            f"sum((a-b)**2) < (eps/2)**2 would separate no two points")
     if pool_size is None:
         pool_size = default_pool_size(s, epsilon)
     elif pool_size > POOL_CAP:

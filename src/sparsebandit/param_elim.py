@@ -21,8 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptySurvivorError, GuardExceededError, ValidationError
-from .model import (BanditInstance, Event, FeatureMatrix, QueryLedger, query,
-                    uniform_error)
+from .model import BanditInstance, Event, FeatureMatrix, QueryLedger, query
 from .net import CoveringNet
 
 TRIPLE_GUARD = 10 ** 7
@@ -72,7 +71,7 @@ class ParamElimResult:
     queries: int
     initial_triples: int
     remaining_triples: int
-    final_error: float
+    predictions: np.ndarray   # one per action, <a_M, theta_hat>
     log: list
     candidates: CandidateSets
     alive: np.ndarray
@@ -252,7 +251,7 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
     reward is more than 3*eps/2 from the primary family's anchor value, the
     primary family dies, otherwise the rival does. Terminates within
     (net size) * (number of subsets) queries and returns the first surviving
-    family in scan order together with its post-hoc uniform error.
+    family in scan order together with its prediction for every action.
 
     Each step resumes the scan where the last one left it (``_violations``).
     """
@@ -293,7 +292,7 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
         queries=len(log),
         initial_triples=cand.n_triples,
         remaining_triples=int(alive.sum()) * n,
-        final_error=uniform_error(instance, theta_hat, index_set),
+        predictions=instance.features.matrix[:, list(index_set)] @ theta_hat,
         log=log,
         candidates=cand,
         alive=alive,

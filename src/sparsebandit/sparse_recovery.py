@@ -22,7 +22,7 @@ from .compression import choose_target_dim, find_certified_map
 from .design import SUBSET_CHUNK, core_set_bound, design_for_subsets, subset_blocks
 from .design_elim import check_subset_guard
 from .errors import ValidationError
-from .model import BanditInstance, FeatureMatrix, QueryLedger, uniform_error
+from .model import BanditInstance, FeatureMatrix, QueryLedger
 from .param_elim import subsets_of_size
 
 # relative slack between a support's lower bound and the incumbent objective
@@ -57,7 +57,7 @@ class GeneralFeaturesResult:
     map_seed: int
     lp_solves: int            # recovery LPs solved out of C(d, s)
     queries: int
-    final_error: float
+    predictions: np.ndarray   # one per action, <a, theta_hat>
 
 
 def collect_representatives(features: FeatureMatrix, s: int) -> RepresentativeSet:
@@ -219,5 +219,7 @@ def run_general_features(instance: BanditInstance, ledger: QueryLedger, *,
         map_seed=cmap.seed,
         lp_solves=rec.lp_solves,
         queries=len(ledger) - start,
-        final_error=uniform_error(instance, rec.theta, range(d)),
+        # the column-major copy features[:, cols] fixes the bits of every
+        # prediction; the row-major features @ theta rounds some differently
+        predictions=instance.features.matrix[:, list(range(d))] @ rec.theta,
     )

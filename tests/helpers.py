@@ -144,3 +144,26 @@ def start_rows_qr_oracle(red):
     if n_pivots < len(init):
         init = init[: max(n_pivots, 1)]
     return init
+
+
+def worst_case_misspecification(instance, ledger, predictions):
+    """Worst uniform error of ``predictions`` over every misspecification
+    |nu| <= epsilon under which the run would have gone the same way, and one
+    nu that attains it.
+
+    A learner sees rewards only through its queries, so keeping nu on the
+    queried actions keeps the ledger, and with it the predictions. There the
+    error is |r_a - pred_a| with r_a the ledger's reward; on an unqueried
+    action nu = +-epsilon against the prediction gives
+    |<a, theta*> - pred_a| + epsilon. <a, theta*> is summed here, not read
+    off the instance's reward table.
+    """
+    preds = np.asarray(predictions, dtype=np.float64)
+    truth = np.einsum("ij,j->i", instance.features.matrix,
+                      instance.theta_star.coords)
+    nu = np.where(truth >= preds, instance.epsilon, -instance.epsilon)
+    errors = np.abs(truth - preds) + instance.epsilon
+    for index, reward in ledger.entries:
+        nu[index] = instance.misspec[index]
+        errors[index] = abs(reward - preds[index])
+    return float(errors.max()), nu

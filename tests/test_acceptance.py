@@ -10,14 +10,21 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from helpers import sparse_minimax_oracle
+from helpers import sparse_minimax_oracle, worst_case_misspecification
 
 from sparsebandit import (
     NoiseModel,
     QueryLedger,
+    build_instance,
     build_separated_net,
+    design,
+    design_elim,
     include_point,
+    param_elim,
+    query,
     random_sparse_instance,
+    sparse_recovery,
+    uniform_error,
 )
 from sparsebandit.compressed_elim import (
     compressed_uniform_error,
@@ -75,35 +82,44 @@ def _seeded_net(instance, seed):
 
 
 def test_parameter_elimination_uniform_error_and_queries():
-    worst = 0.0
+    worst = worst_nu = 0.0
     for instance, seed in _grid_instances():
         ledger = QueryLedger()
         net = _seeded_net(instance, seed)
         res = run_parameter_elimination(instance, ledger, net=net)
         eps, d, s = instance.epsilon, instance.d, instance.s
-        assert res.final_error <= 4 * eps + ARITH_TOL, (d, s, eps, seed)
+        err = uniform_error(instance, res.predictions)
+        assert err <= 4 * eps + ARITH_TOL, (d, s, eps, seed)
         assert len(ledger) <= (4 / eps + 1) ** s * math.comb(d, s)
-        worst = max(worst, res.final_error / (4 * eps))
-    _report("parameter elimination: uniform error within 4*eps and query "
-            "bound on 50 seeded instances", True,
-            f"worst error/bound = {worst:.3f}")
+        adversarial, _ = worst_case_misspecification(instance, ledger, res.predictions)
+        assert adversarial <= 4 * eps + ARITH_TOL, (d, s, eps, seed)
+        worst = max(worst, err / (4 * eps))
+        worst_nu = max(worst_nu, adversarial / (4 * eps))
+    _report("parameter elimination: uniform error within 4*eps, also for the "
+            "worst nu, and query bound on 50 seeded instances", True,
+            f"worst error/bound = {worst:.3f}, worst over nu {worst_nu:.3f}")
 
 
 def test_subset_elimination_error_queries_and_truth_survival():
-    worst = 0.0
+    worst = worst_nu = 0.0
     for instance, seed in _grid_instances():
         ledger = QueryLedger()
         res = run_design_elimination(instance, ledger)
         eps, d, s = instance.epsilon, instance.d, instance.s
         bound = 3 * eps * (1 + math.sqrt(2 * s))
-        assert res.final_error <= bound + ARITH_TOL, (d, s, eps, seed)
+        err = uniform_error(instance, res.predictions)
+        assert err <= bound + ARITH_TOL, (d, s, eps, seed)
         assert len(ledger) <= (core_set_bound(s) + 1) * math.comb(d, s)
         assert res.alive[res.subsets.index(instance.theta_star.support)], \
             (d, s, eps, seed)
-        worst = max(worst, res.final_error / bound)
-    _report("subset elimination: error within 3*eps*(1+sqrt(2s)), query "
-            "bound, true support survives on 50 instances", True,
-            f"worst error/bound = {worst:.3f}")
+        adversarial, _ = worst_case_misspecification(instance, ledger, res.predictions)
+        assert adversarial <= bound + ARITH_TOL, (d, s, eps, seed)
+        worst = max(worst, err / bound)
+        worst_nu = max(worst_nu, adversarial / bound)
+    _report("subset elimination: error within 3*eps*(1+sqrt(2s)), also for "
+            "the worst nu, query bound, true support survives on 50 "
+            "instances", True,
+            f"worst error/bound = {worst:.3f}, worst over nu {worst_nu:.3f}")
 
 
 def test_design_certificates_on_random_matrices():
@@ -215,16 +231,96 @@ def test_sparse_recovery_oracle_equivalence_and_pipeline_bound():
 
     d, s, eps, k = 6, 2, 0.05, 24
     unit = (s * math.log(d)) ** 0.25 * math.sqrt(s * eps) + eps
-    worst = 0.0
+    worst = worst_nu = 0.0
     for seed in range(20):
         inst = random_sparse_instance(d, s, k, eps, seed=seed)
-        res = run_general_features(inst, QueryLedger())
-        assert res.final_error <= KAPPA_PIPELINE * unit, seed
-        worst = max(worst, res.final_error / unit)
+        ledger = QueryLedger()
+        res = run_general_features(inst, ledger)
+        err = uniform_error(inst, res.predictions)
+        assert err <= KAPPA_PIPELINE * unit, seed
+        adversarial, _ = worst_case_misspecification(inst, ledger, res.predictions)
+        assert adversarial <= KAPPA_PIPELINE * unit, seed
+        worst = max(worst, err / unit)
+        worst_nu = max(worst_nu, adversarial / unit)
     _report("sparse recovery: exact oracle equivalence on 50 problems and "
-            "pipeline error within the frozen-constant bound on 20 seeds",
+            "pipeline error within the frozen-constant bound, also for the "
+            "worst nu, on 20 seeds",
             True, f"worst lp/oracle gap = {worst_gap:.2g}, "
-                  f"kappa'={KAPPA_PIPELINE}, worst ratio {worst:.3f}")
+                  f"kappa'={KAPPA_PIPELINE}, worst ratio {worst:.3f}, "
+                  f"worst over nu {worst_nu:.3f}")
+
+
+def test_worst_case_misspecification_replays_the_run():
+    """Keep nu on the queried actions and set nu = +-eps against the
+    prediction on the others: each learner queries the same actions, sees
+    the same rewards and predicts the same bits, and its uniform error is
+    the worst case the helper works out from the first run alone."""
+    grid = [point for i, point in enumerate(_grid_instances()) if i in (7, 20, 33, 47)]
+    learners = [(f"param-elim {seed}", inst,
+                 lambda i, led, seed=seed: run_parameter_elimination(
+                     i, led, net=_seeded_net(i, seed)))
+                for inst, seed in grid]
+    learners += [(f"design-elim {seed}", inst, run_design_elimination)
+                 for inst, seed in grid]
+    learners += [(f"general-features {seed}",
+                  random_sparse_instance(6, 2, 24, 0.05, seed=seed),
+                  run_general_features) for seed in (0, 1)]
+    worst_gap = 0.0
+    for name, instance, learner in learners:
+        ledger = QueryLedger()
+        preds = learner(instance, ledger).predictions
+        want, nu = worst_case_misspecification(instance, ledger, preds)
+        adversary = build_instance(instance.features, instance.theta_star, nu,
+                                   instance.epsilon)
+        replay = QueryLedger()
+        replayed = learner(adversary, replay).predictions
+        assert replay.entries == ledger.entries, name
+        assert np.array_equal(replayed, preds), name
+        gap = abs(uniform_error(adversary, replayed) - want)
+        assert gap <= 1e-12, (name, gap)
+        worst_gap = max(worst_gap, gap)
+    _report("worst case over nu: the adversarial instance replays every run "
+            "and attains the helper's error", True,
+            f"{len(learners)} replays, worst gap {worst_gap:.2g}")
+
+
+class _HiddenTable:
+    """An instance whose rewards and misspecification can be read only
+    through ``query``."""
+
+    def __init__(self, instance):
+        self.instance = instance
+
+    def __getattr__(self, name):
+        assert name not in ("rewards", "misspec"), f"a learner read {name}"
+        return getattr(self.instance, name)
+
+
+def test_learners_see_rewards_only_through_query(monkeypatch):
+    """The worst case over nu rests on this. General features hands the real
+    instance to benign elimination, whose harness-side soundness dial reads
+    the table; its estimates still come from queries alone."""
+    inst = random_sparse_instance(5, 2, 16, 0.1, seed=3)
+    net = _seeded_net(inst, 3)
+    learners = (lambda i, led: run_parameter_elimination(i, led, net=net),
+                run_design_elimination, run_general_features)
+    runs = []
+    for learner in learners:
+        ledger = QueryLedger()
+        runs.append((ledger.entries, learner(inst, ledger).predictions))
+    for module in (param_elim, design, design_elim):
+        monkeypatch.setattr(module, "query",
+                            lambda hidden, *args: query(hidden.instance, *args))
+    benign = sparse_recovery.run_benign_elimination
+    monkeypatch.setattr(sparse_recovery, "run_benign_elimination",
+                        lambda hidden, *args, **kw: benign(hidden.instance, *args, **kw))
+    for learner, (entries, preds) in zip(learners, runs):
+        ledger = QueryLedger()
+        assert np.array_equal(learner(_HiddenTable(inst), ledger).predictions, preds)
+        assert ledger.entries == entries
+    _report("learners see rewards only through query: the same ledger and "
+            "predictions with the reward table hidden", True,
+            f"{len(learners)} learners")
 
 
 HARD_SPEC = HardMatrixSpec(d=64, s=8, epsilon=0.5, tau=0.1, delta=0.25,

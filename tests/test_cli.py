@@ -90,7 +90,18 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
                                           ("source hard-instance\nk -5",
                                            "k must be >= 0"),
                                           ("k 5", "random-sparse needs k >= 2d"),
-                                          ("d 5", "random-sparse needs k >= 2d")])
+                                          ("d 5", "random-sparse needs k >= 2d"),
+                                          ("epsilon inf", "finite real, got 'inf'"),
+                                          ("epsilon nan", "finite real, got 'nan'"),
+                                          ("delta 0.5,inf", "finite real"),
+                                          ("delta nan", "finite real"),
+                                          ("c_const inf", "finite real"),
+                                          ("c_jl inf", "finite real"),
+                                          ("c nan", "finite real"),
+                                          ("tau -inf", "finite real"),
+                                          ("hard_delta nan", "finite real"),
+                                          ("kappa inf", "finite real"),
+                                          ("kappa 1e400", "finite real")])
 def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys, line, message):
     """The case's last line is the bad one; a base line setting a key the
     case sets is removed, except where the duplicate is the error."""

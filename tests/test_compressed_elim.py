@@ -8,7 +8,6 @@ import pytest
 from sparsebandit import NoiseModel, QueryLedger, build_instance, random_sparse_instance
 from sparsebandit.compressed_elim import (
     compressed_uniform_error,
-    corollary_regime_check,
     noisy_threshold,
     run_benign_elimination,
 )
@@ -82,13 +81,3 @@ def test_row_indices_restriction_and_repeats():
     assert set(res.surviving.tolist()) <= set(range(len(rows)))
     queried = {e[0] for e in ledger.entries}
     assert queried <= set(rows.tolist())
-
-
-def test_regime_check_examples():
-    assert corollary_regime_check(2, 1.0, 1.0, 2) is True
-    assert corollary_regime_check(2, 1.0, 0.1, int(math.e ** 30)) is False
-    s, delta, eps = 2, 1.0, 0.5
-    k_boundary = int(math.floor(math.exp(eps ** 2 * s ** (2 * (1 + delta)))))
-    assert corollary_regime_check(s, delta, eps, k_boundary) is True
-    with pytest.raises(ValidationError):
-        corollary_regime_check(2, 0.5, 0.1, 10)

@@ -7,7 +7,13 @@ from operator import itemgetter
 import numpy as np
 import pytest
 
-from sparsebandit import QueryLedger, build_instance, design_elim, random_sparse_instance
+from sparsebandit import (
+    QueryLedger,
+    build_instance,
+    design_elim,
+    random_sparse_instance,
+    uniform_error,
+)
 from sparsebandit.design_elim import (
     first_prediction_gap,
     query_bound,
@@ -23,7 +29,7 @@ def test_exact_linear_instance_recovers_truth():
     supp = base.theta_star.support
     est = res.estimates[supp]
     assert np.max(np.abs(est - base.theta_star.coords[list(supp)])) < 1e-8
-    assert res.final_error <= 3 * inst.epsilon * (1 + math.sqrt(4)) + 1e-9
+    assert uniform_error(inst, res.predictions) <= 3 * inst.epsilon * (1 + math.sqrt(4)) + 1e-9
 
 
 def test_gap_scan_threshold_is_strict():
@@ -64,8 +70,8 @@ def test_runs_meet_error_and_query_bounds():
         ledger = QueryLedger()
         res = run_design_elimination(inst, ledger)
         bound = 3 * inst.epsilon * (1 + math.sqrt(2 * inst.s))
-        assert res.final_error <= bound + 1e-9
-        assert res.final_error <= 0.45 + 1e-9
+        assert uniform_error(inst, res.predictions) <= bound + 1e-9
+        assert uniform_error(inst, res.predictions) <= 0.45 + 1e-9
         assert len(ledger) == res.queries <= query_bound(5, 2)
         # ground-truth subset survives
         m_star = res.subsets.index(inst.theta_star.support)
@@ -77,7 +83,7 @@ def test_one_sparse_runs():
         inst = random_sparse_instance(6, 1, 16, 0.1, seed=seed)
         res = run_design_elimination(inst, QueryLedger())
         bound = 3 * inst.epsilon * (1 + math.sqrt(2))
-        assert res.final_error <= bound + 1e-9
+        assert uniform_error(inst, res.predictions) <= bound + 1e-9
         assert res.alive[res.subsets.index(inst.theta_star.support)]
 
 

@@ -116,9 +116,17 @@ def test_uniform_error_exact_and_zero_estimator():
     inst = random_sparse_instance(5, 2, 16, 0.1, seed=4)
     nu0 = build_instance(inst.features, inst.theta_star, np.zeros(inst.k), 0.1)
     supp = list(inst.theta_star.support)
-    assert uniform_error(nu0, inst.theta_star.coords[supp], supp) < 1e-12
-    err0 = uniform_error(inst, np.zeros(2), supp)
+    preds = inst.features.matrix[:, supp] @ inst.theta_star.coords[supp]
+    assert uniform_error(nu0, preds) < 1e-12
+    err0 = uniform_error(inst, np.zeros(inst.k))
     assert err0 == pytest.approx(np.max(np.abs(inst.rewards)), abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(15,), (17,), (16, 1), ()])
+def test_uniform_error_needs_one_prediction_per_action(shape):
+    inst = random_sparse_instance(5, 2, 16, 0.1, seed=4)
+    with pytest.raises(DimensionMismatchError, match=r"\(16,\) actions"):
+        uniform_error(inst, np.zeros(shape))
 
 
 def test_misspec_soundness_property():

@@ -63,6 +63,16 @@ def test_input_validation():
         build_separated_net(2, 0.5, seed=0, pool_size=10 ** 7)
 
 
+def test_separation_that_underflows_is_refused_before_the_pool(monkeypatch):
+    """At eps 1e-300 the squared separation is 0.0, so the exact distance
+    test would block no point and every pool point would be accepted."""
+    assert (1e-300 / 2.0) ** 2 == 0.0
+    monkeypatch.setattr("sparsebandit.net.sphere_pool",
+                        lambda *args: pytest.fail("the pool was drawn"))
+    with pytest.raises(ValidationError, match=r"\(eps/2\)\*\*2 underflows"):
+        build_separated_net(2, 1e-300, seed=0)
+
+
 def test_include_point_noop_when_member():
     net = build_separated_net(2, 0.5, seed=2, pool_size=2_000)
     same = include_point(net, net.points[0])

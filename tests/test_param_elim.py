@@ -303,7 +303,7 @@ def test_degenerate_runs_match_a_restart_scan():
         res = run_parameter_elimination(inst, QueryLedger(), net=net)
         got = [pick(e.fields) for e in res.log]
         assert got == restart_scan_log(inst, net)
-        assert res.final_error <= 4 * inst.epsilon + 1e-9
+        assert uniform_error(inst, res.predictions) <= 4 * inst.epsilon + 1e-9
         lengths.append(len(got))
     assert min(lengths[:3]) > 0 and lengths[3:] == [0, 0]
 
@@ -313,7 +313,7 @@ def test_run_with_huge_epsilon_is_vacuous():
     net = seeded_net_for(inst, seed=5)
     res = run_parameter_elimination(inst, QueryLedger(), net=net)
     assert res.queries <= 2
-    assert res.final_error <= 4 * inst.epsilon + 1e-9
+    assert uniform_error(inst, res.predictions) <= 4 * inst.epsilon + 1e-9
 
 
 def test_run_guarantees_error_and_query_bounds():
@@ -322,7 +322,7 @@ def test_run_guarantees_error_and_query_bounds():
         net = seeded_net_for(inst, seed=seed)
         ledger = QueryLedger()
         res = run_parameter_elimination(inst, ledger, net=net)
-        assert res.final_error <= 4 * inst.epsilon + 1e-9
+        assert uniform_error(inst, res.predictions) <= 4 * inst.epsilon + 1e-9
         assert res.queries == len(ledger)
         assert res.queries <= net.size * math.comb(4, 1)
         assert res.queries <= (4 / inst.epsilon + 1) ** 1 * math.comb(4, 1)
@@ -335,7 +335,7 @@ def test_run_two_sparse_instance():
     net = seeded_net_for(inst, seed=11, pool_size=3000)
     ledger = QueryLedger()
     res = run_parameter_elimination(inst, ledger, net=net)
-    assert res.final_error <= 4 * inst.epsilon + 1e-9
+    assert uniform_error(inst, res.predictions) <= 4 * inst.epsilon + 1e-9
     assert res.queries <= net.size * math.comb(4, 2)
     assert mark_ground_truth(res, inst).ground_truth_alive
     # progress invariant: one family killed per query
@@ -353,8 +353,9 @@ def test_run_norm_point_nine_example():
     inst = build_instance(phi, theta, nu, 0.1)
     net = include_point(build_separated_net(1, 0.1, seed=0), [1.0])
     res = run_parameter_elimination(inst, QueryLedger(), net=net)
-    assert res.final_error <= 0.4
-    assert uniform_error(inst, res.theta_hat, res.index_set) == res.final_error
+    assert uniform_error(inst, res.predictions) <= 0.4
+    assert np.array_equal(
+        res.predictions, inst.features.matrix[:, list(res.index_set)] @ res.theta_hat)
 
 
 def test_run_is_deterministic():

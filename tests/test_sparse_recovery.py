@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from helpers import minimax_residual_oracle, sparse_minimax_oracle
 
-from sparsebandit import QueryLedger, build_instance, random_sparse_instance, sparse_recovery
+from sparsebandit import (
+    QueryLedger,
+    build_instance,
+    random_sparse_instance,
+    sparse_recovery,
+    uniform_error,
+)
 from sparsebandit.design import core_set_bound
 from sparsebandit.errors import GuardExceededError, ValidationError
 from sparsebandit.param_elim import subsets_of_size
@@ -91,7 +97,7 @@ def test_pipeline_exact_linear_identity_regime():
     res = run_general_features(inst, QueryLedger())
     assert res.recovered_support == inst.theta_star.support
     assert np.max(np.abs(res.theta_hat - inst.theta_star.coords)) < 1e-5
-    assert res.final_error < 1e-5
+    assert uniform_error(inst, res.predictions) < 1e-5
 
 
 def test_pipeline_error_within_calibrated_bound():
@@ -101,7 +107,7 @@ def test_pipeline_error_within_calibrated_bound():
         res = run_general_features(inst, ledger)
         assert res.queries == len(ledger)
         unit = (2 * math.log(6)) ** 0.25 * math.sqrt(2 * 0.05) + 0.05
-        assert res.final_error <= 10 * unit
+        assert uniform_error(inst, res.predictions) <= 10 * unit
         assert res.psi_rows == math.comb(6, 2) * 17
 
 
