@@ -34,6 +34,10 @@ every real must be finite.
     log_output   optional CSV path for detail rows: one per learner event
                  (kind elimination or round), then one summary per run
 
+An instance file (`validate`, source explicit-file) is read the same way: a
+non-finite real in its header or rows, or k, d or s below 1, is an invariant
+failure that names the line.
+
 CSV columns, fixed order: algorithm, d, s, epsilon, k, seed, queries,
 uniform_error, suboptimality, bound, bound_satisfied, wall_ms. Exit codes:
 0 success, 1 config error, 2 guard violation, 3 invariant failure.
@@ -72,23 +76,27 @@ from .model import (
     NORM_TOL,
     QueryLedger,
     _fmt,
+    at_least,
+    comma_list,
+    finite_real,
+    flag,
+    integer,
     load_instance,
+    one_of,
+    positive_real,
     random_sparse_instance,
+    read_key_values,
     save_instance,
+    text,
     uniform_error,
 )
 from .net import build_separated_net, include_point
 from .param_elim import check_triple_guard, run_parameter_elimination
 from .sparse_recovery import run_general_features
 
-SOURCES = ("random-sparse", "explicit-file", "hard-instance")
 CSV_COLUMNS = ("algorithm", "d", "s", "epsilon", "k", "seed", "queries",
                "uniform_error", "suboptimality", "bound", "bound_satisfied",
                "wall_ms")
-
-# bound constants for the compressed algorithms, frozen by one calibration
-# sweep (see tests/test_acceptance.py)
-KAPPA_DEFAULT = 10.0
 
 
 @dataclass
@@ -108,7 +116,7 @@ class ExperimentConfig:
     tau: float = 0.1
     hard_delta: float = 0.25
     budget: int | None = None
-    kappa: float = KAPPA_DEFAULT
+    kappa: float = 10.0   # frozen by one calibration sweep (tests/test_acceptance.py)
     pool_size: int | None = None
     seed_net: bool = True
     measure_time: bool = False
@@ -135,83 +143,17 @@ class RunRecord:
         return [_fmt(getattr(self, col)) for col in CSV_COLUMNS]
 
 
-_INT_LIST = {"d", "s", "k", "seeds"}
-_FLOAT_LIST = {"epsilon", "delta"}
-_FLOATS = {"c_const", "c_jl", "c", "tau", "hard_delta", "kappa"}
-_INTS = {"budget", "pool_size"}
-_BOOLS = {"seed_net", "measure_time"}
-_STRINGS = {"source", "instance_file", "output", "log_output"}
-_POSITIVE = {"epsilon", "delta", "c_const", "c_jl", "kappa"}
-_AT_LEAST = {"d": 1, "s": 1, "k": 0, "seeds": 0, "pool_size": 1}
-
-
-def _finite(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite real, got {text!r}")
-    return value
-
-
 def parse_config(path) -> ExperimentConfig:
     """Parse the flat key/value grammar; errors carry 1-based line numbers."""
-    values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{line_no}: expected 'key value', got {line!r}")
-            key, value = parts[0], parts[1].strip()
-            if key in values:
-                raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-            values[key] = (value, line_no)
-
-    cfg = ExperimentConfig(algorithms=[])
-    lines = {key: line_no for key, (_, line_no) in values.items()}
-
-    def take(key):
-        return values.pop(key, (None, None))
-
-    value, line_no = take("algorithm")
-    if value is None:
+        stripped = ((line_no, raw.strip()) for line_no, raw in enumerate(fh, start=1))
+        values, lines = read_key_values(
+            ((line_no, line) for line_no, line in stripped
+             if line and not line.startswith("#")),
+            CONFIG_KEYS, lambda message, line_no: ConfigError(f"{path}:{line_no}: {message}"))
+    if "algorithm" not in values:
         raise ConfigError(f"{path}: missing required key 'algorithm'")
-    cfg.algorithms = value.split(",")
-    for alg in cfg.algorithms:
-        if alg not in ALGORITHMS:
-            raise ConfigError(
-                f"{path}:{line_no}: unknown algorithm {alg!r} "
-                f"(expected one of {', '.join(ALGORITHMS)})")
-
-    for key in list(values):
-        value, line_no = values.pop(key)
-        try:
-            if key in _INT_LIST:
-                setattr(cfg, key, [int(v) for v in value.split(",")])
-            elif key in _FLOAT_LIST:
-                setattr(cfg, key, [_finite(v) for v in value.split(",")])
-            elif key in _FLOATS:
-                setattr(cfg, key, _finite(value))
-            elif key in _INTS:
-                setattr(cfg, key, int(value))
-            elif key in _BOOLS:
-                if value not in ("0", "1"):
-                    raise ValueError("expected 0 or 1")
-                setattr(cfg, key, value == "1")
-            elif key in _STRINGS:
-                if key == "source" and value not in SOURCES:
-                    raise ValueError(f"expected one of {', '.join(SOURCES)}")
-                setattr(cfg, key, value)
-            else:
-                raise ValueError("unknown key")
-            if key in _POSITIVE and not np.all(np.asarray(getattr(cfg, key)) > 0):
-                raise ValueError(f"{key} must be > 0")
-            if key in _AT_LEAST and np.min(getattr(cfg, key)) < _AT_LEAST[key]:
-                raise ValueError(f"{key} must be >= {_AT_LEAST[key]}")
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
-
+    cfg = ExperimentConfig(algorithms=values.pop("algorithm"), **values)
     if cfg.source == "explicit-file" and not cfg.instance_file:
         raise ConfigError(
             f"{path}:{lines['source']}: source explicit-file needs 'instance_file'")
@@ -366,6 +308,18 @@ RUNNERS = {
     "random-baseline": _run_random_baseline,
 }
 ALGORITHMS = tuple(RUNNERS)
+
+# The config grammar: each key's value reader (see model.read_key_values).
+CONFIG_KEYS = {
+    "algorithm": comma_list(one_of(*ALGORITHMS)),
+    "source": one_of("random-sparse", "explicit-file", "hard-instance"),
+    "instance_file": text, "output": text, "log_output": text,
+    "d": comma_list(at_least(1)), "s": comma_list(at_least(1)),
+    "epsilon": comma_list(positive_real), "k": comma_list(at_least(0)),
+    "delta": comma_list(positive_real), "seeds": comma_list(at_least(0)),
+    "c_const": positive_real, "c_jl": positive_real, "c": finite_real,
+    "tau": finite_real, "hard_delta": finite_real, "budget": integer,
+    "kappa": positive_real, "pool_size": at_least(1), "seed_net": flag, "measure_time": flag}
 
 
 def run_experiment(cfg: ExperimentConfig):

@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import CertificationError, ValidationError
 
+MAX_RETRIES = 32   # seeds tried before CertificationError
+
 
 @dataclass(frozen=True)
 class CompressionMap:
@@ -79,13 +81,14 @@ def certify(cmap: CompressionMap, actions, theta) -> float:
 
 
 def find_certified_map(d: int, p: int, actions, theta, upsilon: float,
-                       base_seed: int = 0, max_retries: int = 32) -> CompressionMap:
+                       base_seed: int = 0) -> CompressionMap:
     """Redraw seeds until the distortion certificate <= 2*upsilon holds.
 
-    Tries base_seed, base_seed+1, ... When p = d the seed-0 identity is tried
-    first since compression is a no-op at full dimension.
+    Tries MAX_RETRIES seeds base_seed, base_seed+1, ... When p = d the
+    seed-0 identity is tried first since compression is a no-op at full
+    dimension.
     """
-    seeds = list(range(base_seed, base_seed + max_retries))
+    seeds = list(range(base_seed, base_seed + MAX_RETRIES))
     if p == d and 0 not in seeds:
         seeds = [0] + seeds[:-1]
     worst = math.inf
@@ -98,4 +101,4 @@ def find_certified_map(d: int, p: int, actions, theta, upsilon: float,
                                   upsilon=upsilon, max_violation=violation)
     raise CertificationError(
         f"no map met the certificate 2*upsilon = {2 * upsilon:.6g} within "
-        f"{max_retries} retries (best violation {worst:.6g})")
+        f"{MAX_RETRIES} retries (best violation {worst:.6g})")

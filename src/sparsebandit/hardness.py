@@ -38,6 +38,7 @@ from .model import (
 )
 
 K_SATURATION = 10 ** 9
+MAX_RETRIES = 100   # seeds tried before RetriesExhaustedError
 PAIRWISE_TOL = 1e-12   # rounding slack on a computed pairwise inner product
 
 
@@ -155,15 +156,15 @@ def normalize_and_validate(raw: np.ndarray, spec: HardMatrixSpec,
     return ValidationOutcome(report=report, features=features)
 
 
-def generate_validated(spec: HardMatrixSpec, max_retries: int = 100):
-    """Retry seeds spec.seed, spec.seed+1, ... until a matrix certifies.
+def generate_validated(spec: HardMatrixSpec):
+    """Retry MAX_RETRIES seeds spec.seed, spec.seed+1, ... until one certifies.
 
     Returns (features, attempts, reports); when every retry fails, raises
     RetriesExhaustedError with the collected rejection reports as
     ``reports``.
     """
     reports = []
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         seed = spec.seed + attempt
         raw = sample_raw_matrix(spec, seed=seed)
         outcome = normalize_and_validate(raw, spec, seed=seed)
@@ -171,7 +172,7 @@ def generate_validated(spec: HardMatrixSpec, max_retries: int = 100):
         if outcome.report.accepted:
             return outcome.features, attempt + 1, reports
     raise RetriesExhaustedError(
-        f"no validated matrix within {max_retries} retries; failure counts "
+        f"no validated matrix within {MAX_RETRIES} retries; failure counts "
         f"(norm/sparsity/pairwise) of the last report: "
         f"{reports[-1].norm_failures}/{reports[-1].sparsity_failures}/"
         f"{reports[-1].pairwise_failures}", reports=reports)

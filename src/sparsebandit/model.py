@@ -9,6 +9,7 @@ are safe to share read-only across runs; each run owns its own QueryLedger
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian"):
             raise ValidationError(f"unknown noise kind {self.kind!r}")
+        if not math.isfinite(self.scale):
+            raise ValidationError(f"noise scale must be finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,8 @@ class Event:
 class BanditInstance:
     """Deterministic reward table r_i = <row_i, theta*> + misspec_i.
 
-    max_i |misspec_i| <= epsilon is enforced at construction. Optional
+    max_i |misspec_i| <= epsilon, for a finite epsilon > 0, is enforced at
+    construction; a nan or infinite misspec_i never satisfies it. Optional
     metadata records how lower-bound embeddings deviate from the default
     parameter invariants.
     """
@@ -163,12 +167,13 @@ class BanditInstance:
         if nu.shape != (self.features.k,):
             raise DimensionMismatchError(
                 f"misspecification length {nu.shape} != number of actions {self.features.k}")
-        if not (self.epsilon > 0):
-            raise ValidationError("epsilon must be positive")
-        if np.max(np.abs(nu)) > self.epsilon:
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValidationError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        worst = np.max(np.abs(nu))
+        if not worst <= self.epsilon:
             raise MisspecificationBoundError(
                 f"misspecification exceeds epsilon: max |nu| = "
-                f"{np.max(np.abs(nu)):.12g} > {self.epsilon:.12g}")
+                f"{worst:.12g} is not <= {self.epsilon:.12g}")
         rewards = self.features.matrix @ self.theta_star.coords + nu
         rewards.setflags(write=False)
         object.__setattr__(self, "rewards", rewards)
@@ -278,8 +283,6 @@ def random_sparse_instance(d, s, k, epsilon, seed, *, noise=None,
 # -- serialization -----------------------------------------------------------
 
 _MAGIC = "sparse-bandit-instance v1"
-_HEADER_KEYS = ("k", "d", "s", "epsilon", "noise", "noise_scale", "seed",
-                "orthogonality", "theta_norm_bypassed")
 
 
 def _fmt(x) -> str:
@@ -289,6 +292,80 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
+
+
+def finite_real(key, token):
+    value = float(token)
+    if not math.isfinite(value):   # inf, nan and an overflowing 1e400
+        raise ValueError(f"expected a finite real, got {token!r}")
+    return value
+
+
+def positive_real(key, token):
+    if not finite_real(key, token) > 0:
+        raise ValueError(f"{key} must be > 0, got {token}")
+    return float(token)
+
+
+def integer(key, token):
+    return int(token)
+
+
+def at_least(low):
+    def read(key, token):
+        if int(token) < low:
+            raise ValueError(f"{key} must be >= {low}, got {token}")
+        return int(token)
+    return read
+
+
+def flag(key, token):
+    if token not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {token!r}")
+    return token == "1"
+
+
+def one_of(*options):
+    def read(key, token):
+        if token not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {token!r}")
+        return token
+    return read
+
+
+def text(key, token):
+    return token
+
+
+def comma_list(read):
+    def read_list(key, token):
+        return [read(key, entry) for entry in token.split(",")]
+    return read_list
+
+
+def read_key_values(lines, table, error):
+    """Read numbered `key value` lines against table, which maps each key to
+    a value reader: reader(key, token) returns the value or raises ValueError
+    naming the rule the token breaks. lines yields (line number, text).
+
+    Returns (values, line numbers), dicts by key. A malformed line, an unknown
+    or repeated key, or a refused value raises error(message, line number)."""
+    values, line_of = {}, {}
+    for line_no, line in lines:
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise error(f"expected 'key value', got {line!r}", line_no)
+        key, token = parts[0], parts[1].strip()
+        if key in values:
+            raise error(f"duplicate key {key!r}", line_no)
+        if key not in table:
+            raise error(f"key {key!r}: unknown key", line_no)
+        try:
+            values[key] = table[key](key, token)
+        except ValueError as exc:
+            raise error(f"bad value for {key!r}: {exc}", line_no) from None
+        line_of[key] = line_no
+    return values, line_of
 
 
 def save_instance(instance: BanditInstance, path) -> None:
@@ -319,6 +396,12 @@ def save_instance(instance: BanditInstance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+INSTANCE_HEADER = {
+    "k": at_least(1), "d": at_least(1), "s": at_least(1), "epsilon": positive_real,
+    "noise": one_of("none", "gaussian"), "noise_scale": finite_real,
+    "seed": at_least(0), "orthogonality": finite_real, "theta_norm_bypassed": flag}
+
+
 class InstanceParseError(ValidationError):
     def __init__(self, message, line_no):
         super().__init__(f"line {line_no}: {message}")
@@ -332,88 +415,49 @@ def load_instance(path) -> BanditInstance:
     if not raw or raw[0].strip() != _MAGIC:
         raise InstanceParseError(f"expected header {_MAGIC!r}", 1)
 
-    header, key_lines = {}, {}
     pos = 1
     while pos < len(raw) and raw[pos].strip() != "phi":
-        parts = raw[pos].split()
-        if len(parts) != 2:
-            raise InstanceParseError(f"expected 'key value', got {raw[pos]!r}", pos + 1)
-        if parts[0] not in _HEADER_KEYS:
-            raise InstanceParseError(f"unknown header key {parts[0]!r}", pos + 1)
-        if parts[0] in header:
-            raise InstanceParseError(f"duplicate header key {parts[0]!r}", pos + 1)
-        header[parts[0]] = parts[1]
-        key_lines[parts[0]] = pos + 1
         pos += 1
+    header, _ = read_key_values(enumerate(raw[1:pos], start=2),
+                                INSTANCE_HEADER, InstanceParseError)
     if pos >= len(raw):
         raise InstanceParseError("missing 'phi' section", len(raw))
-
-    def need_int(key):
+    for key in ("k", "d", "s", "epsilon"):
         if key not in header:
             raise InstanceParseError(f"missing header key {key!r}", pos)
-        try:
-            return int(header[key])
-        except ValueError:
-            raise InstanceParseError(f"key {key!r} is not an integer",
-                                     key_lines[key]) from None
-
-    def need_float(key):
-        if key not in header:
-            raise InstanceParseError(f"missing header key {key!r}", pos)
-        try:
-            return float(header[key])
-        except ValueError:
-            raise InstanceParseError(f"key {key!r} is not a real", key_lines[key]) from None
-
-    k = need_int("k")
-    d = need_int("d")
-    s = need_int("s")
-    epsilon = need_float("epsilon")
-    noise_kind = header.get("noise", "none")
-    noise_scale = need_float("noise_scale") if "noise_scale" in header else 1.0
-    seed = need_int("seed") if "seed" in header else 0
-    if seed < 0:
-        raise InstanceParseError(f"noise seed {seed} is negative", key_lines["seed"])
-    orthogonality = need_float("orthogonality") if "orthogonality" in header else None
-    bypass = header.get("theta_norm_bypassed", "0")
-    if bypass not in ("0", "1"):
-        raise InstanceParseError(
-            f"key 'theta_norm_bypassed' must be 0 or 1, got {bypass!r}",
-            key_lines["theta_norm_bypassed"])
-    bypass = bypass == "1"
+    k, d, s = header["k"], header["d"], header["s"]
+    bypass = header.get("theta_norm_bypassed", False)
 
     def parse_row(line_idx, expected_len, what):
+        row = raw[line_idx].split() if line_idx < len(raw) else []
         try:
-            vals = [float(v) for v in raw[line_idx].split()]
-        except (ValueError, IndexError):
-            raise InstanceParseError(f"bad {what} row", line_idx + 1) from None
-        if len(vals) != expected_len:
-            raise InstanceParseError(
-                f"{what} row has {len(vals)} values, expected {expected_len}",
-                line_idx + 1)
-        return vals
+            if len(row) != expected_len:
+                raise ValueError(f"{len(row)} values, expected {expected_len}")
+            return [finite_real(what, v) for v in row]
+        except ValueError as exc:
+            raise InstanceParseError(f"bad {what} row: {exc}", line_idx + 1) from None
 
-    pos += 1  # past 'phi'
-    phi = np.asarray([parse_row(pos + i, d, "phi") for i in range(k)])
-    pos += k
-    if pos >= len(raw) or raw[pos].strip() != "theta":
-        raise InstanceParseError("missing 'theta' section", pos + 1)
-    theta = np.asarray(parse_row(pos + 1, d, "theta"))
-    pos += 2
-    if pos >= len(raw) or raw[pos].strip() != "nu":
-        raise InstanceParseError("missing 'nu' section", pos + 1)
-    nu = np.asarray(parse_row(pos + 1, k, "nu"))
+    def section(line_idx, name, length):
+        if line_idx >= len(raw) or raw[line_idx].strip() != name:
+            raise InstanceParseError(f"missing {name!r} section", line_idx + 1)
+        return np.asarray(parse_row(line_idx + 1, length, name))
+
+    phi = np.asarray([parse_row(pos + 1 + i, d, "phi") for i in range(k)])
+    theta = section(pos + 1 + k, "theta", d)
+    nu = section(pos + 3 + k, "nu", k)
 
     inst = BanditInstance(
         features=FeatureMatrix(phi),
         theta_star=SparseParameter(theta, skip_norm_check=bypass),
         misspec=nu,
-        epsilon=epsilon,
-        noise=NoiseModel(kind=noise_kind, scale=noise_scale, seed=seed),
+        epsilon=header["epsilon"],
+        noise=NoiseModel(kind=header.get("noise", "none"),
+                         scale=header.get("noise_scale", 1.0),
+                         seed=header.get("seed", 0)),
         theta_norm_bypassed=bypass,
-        orthogonality=orthogonality,
+        orthogonality=header.get("orthogonality"),
     )
     if inst.s != s:
         raise InstanceParseError(
-            f"declared sparsity {s} != parameter support size {inst.s}", pos + 1)
+            f"declared sparsity {s} != parameter support size {inst.s}", pos + 4 + k)
     return inst

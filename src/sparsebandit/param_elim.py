@@ -75,7 +75,6 @@ class ParamElimResult:
     log: list
     candidates: CandidateSets
     alive: np.ndarray
-    ground_truth_alive: bool | None = None
 
 
 def subsets_of_size(d: int, s: int) -> tuple:
@@ -299,15 +298,14 @@ def run_parameter_elimination(instance: BanditInstance, ledger: QueryLedger, *,
     )
 
 
-def mark_ground_truth(result: ParamElimResult, instance: BanditInstance) -> ParamElimResult:
+def mark_ground_truth(result: ParamElimResult, instance: BanditInstance) -> bool:
     """Diagnostic: did the family of the true support and its nearest net
     point survive? Requires the restriction to be an exact net member to be
     a guarantee; otherwise this is informational."""
     supp = instance.theta_star.support
     cand = result.candidates
     if supp not in cand.subsets:
-        result.ground_truth_alive = False
-        return result
+        return False
     m_idx = cand.subsets.index(supp)
     target = instance.theta_star.coords[list(supp)]
     exact = np.all(cand.net.points == target, axis=1)
@@ -316,6 +314,5 @@ def mark_ground_truth(result: ParamElimResult, instance: BanditInstance) -> Para
     else:
         d2 = ((cand.net.points - target) ** 2).sum(axis=1)
         t_idx = int(np.argmin(d2))
-    result.ground_truth_alive = bool(result.alive[m_idx, t_idx])
-    return result
+    return bool(result.alive[m_idx, t_idx])
 

@@ -329,7 +329,7 @@ HARD_SPEC = HardMatrixSpec(d=64, s=8, epsilon=0.5, tau=0.1, delta=0.25,
 
 def test_hard_instance_certification():
     k = k_threshold(HARD_SPEC)
-    features, attempts, _ = generate_validated(HARD_SPEC, max_retries=100)
+    features, attempts, _ = generate_validated(HARD_SPEC)
     m = features.matrix
     assert m.shape[0] == k
     assert np.max(np.abs(np.linalg.norm(m, axis=1) - 1.0)) <= 1e-9
@@ -348,7 +348,7 @@ def test_hard_instance_pairwise_certificate():
     shared coordinates, divided by s. The bound |<a_i, a_j>| <= eps is
     certified on that integer sum, and the float products must match it."""
     spec = replace(HARD_SPEC, k=64)
-    features, attempts, _ = generate_validated(spec, max_retries=100)
+    features, attempts, _ = generate_validated(spec)
     m = features.matrix
     assert m.shape[0] == spec.k
     assert np.all(np.count_nonzero(m, axis=1) == spec.s)

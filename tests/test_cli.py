@@ -440,6 +440,41 @@ def test_validate_subcommand(tmp_path, capsys):
     assert main(["validate", str(trunc)]) == 3
 
 
+@pytest.mark.parametrize("key,value", [("epsilon", "inf"), ("noise_scale", "nan"),
+                                       ("orthogonality", "nan"), ("nu", "nan")])
+def test_non_finite_instance_value_is_refused_with_its_line(tmp_path, capsys,
+                                                           ledger_records, key, value):
+    """validate and an explicit-file run both exit 3 and name the line; a
+    header key the file lacks is added before 'phi', a nu entry replaced."""
+    inst_path = tmp_path / "inst.txt"
+    save_instance(random_sparse_instance(4, 1, 12, 0.1, seed=9), inst_path)
+    lines = inst_path.read_text().splitlines()
+    if key == "nu":
+        at = lines.index("nu") + 1
+        lines[at] = " ".join([value] + lines[at].split()[1:])
+    elif key == "orthogonality":
+        at = lines.index("phi")
+        lines.insert(at, f"{key} {value}")
+    else:
+        at = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+        lines[at] = f"{key} {value}"
+    inst_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run.csv"
+    path = write_config(tmp_path, f"""algorithm design-elim
+source explicit-file
+instance_file {inst_path}
+seeds 0
+output {out}
+""")
+    for argv in (["validate", str(inst_path)], ["run", str(path)]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert f"line {at + 1}: " in captured.err
+        assert f"expected a finite real, got '{value}'" in captured.err
+        assert "OK" not in captured.out
+    assert ledger_records == [] and not out.exists()
+
+
 def test_generate_hard_and_validate(tmp_path, capsys):
     out = tmp_path / "hard.txt"
     path = write_config(tmp_path, """

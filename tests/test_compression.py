@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsebandit import compression as compression_mod
 from sparsebandit.compression import (
     build_map,
     certify,
@@ -93,11 +94,12 @@ def test_find_certified_map_prefers_identity_at_full_dim():
     assert cmap.max_violation == 0.0
 
 
-def test_find_certified_map_exhausts():
+def test_find_certified_map_exhausts(monkeypatch):
     rng = np.random.default_rng(6)
     actions = rng.normal(size=(50, 30))
     actions /= np.linalg.norm(actions, axis=1, keepdims=True)
     theta = rng.normal(size=30)
     theta /= np.linalg.norm(theta)
+    monkeypatch.setattr(compression_mod, "MAX_RETRIES", 4)
     with pytest.raises(CertificationError):
-        find_certified_map(30, 2, actions, theta, 0.01, base_seed=0, max_retries=4)
+        find_certified_map(30, 2, actions, theta, 0.01, base_seed=0)

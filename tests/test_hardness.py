@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sparsebandit import QueryLedger, load_instance, save_instance
+from sparsebandit import hardness as hardness_mod
 from sparsebandit.errors import (
     OverflowGuardError,
     RetriesExhaustedError,
@@ -84,7 +85,7 @@ def test_validated_at_default_k_threshold(d, s, epsilon, tau):
     assert np.all(np.count_nonzero(features.matrix, axis=1) == s)
 
 
-def test_rejection_report_counts():
+def test_rejection_report_counts(monkeypatch):
     spec = HardMatrixSpec(d=64, s=8, epsilon=1e-6, tau=1e-9, delta=0.25,
                           seed=1, k=4)
     raw = sample_raw_matrix(spec)
@@ -94,8 +95,9 @@ def test_rejection_report_counts():
     total = (outcome.report.norm_failures + outcome.report.sparsity_failures
              + outcome.report.pairwise_failures)
     assert total > 0
+    monkeypatch.setattr(hardness_mod, "MAX_RETRIES", 3)
     with pytest.raises(RetriesExhaustedError):
-        generate_validated(spec, max_retries=3)
+        generate_validated(spec)
 
 
 def test_pairwise_count_matches_integer_oracle():

@@ -36,6 +36,23 @@ def test_build_rejects_misspec_exceeding_epsilon():
         build_instance([[1.0, 0.0]], [0.5, 0.0], [0.2], 0.1)
 
 
+@pytest.mark.parametrize("misspec,epsilon,noise,error,message", [
+    ([0.0, np.nan], 0.1, None, MisspecificationBoundError, "max [|]nu[|] = nan is not <="),
+    ([np.inf, 0.0], 0.1, None, MisspecificationBoundError, "max [|]nu[|] = inf is not <="),
+    ([0.0, 0.0], np.inf, None, ValidationError, "epsilon must be finite and > 0, got inf"),
+    ([0.0, 0.0], np.nan, None, ValidationError, "epsilon must be finite and > 0, got nan"),
+    ([0.0, 0.0], 0.1, ("gaussian", np.nan), ValidationError,
+     "noise scale must be finite, got nan"),
+], ids=["nan-nu", "inf-nu", "inf-epsilon", "nan-epsilon", "nan-noise-scale"])
+def test_build_refuses_non_finite_misspec_epsilon_and_noise_scale(misspec, epsilon, noise,
+                                                                   error, message):
+    """A nan never satisfies max |nu| <= epsilon, and epsilon and the noise
+    scale must be finite."""
+    with pytest.raises(error, match=message):
+        build_instance([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.0], misspec, epsilon,
+                       noise=NoiseModel(*noise) if noise else None)
+
+
 def test_build_hand_computed_reward():
     # 0.6*0.5 + 0.8*0.5 + 0.05 = 0.75, computed by hand
     inst = build_instance([[0.5, 0.5, 0.5, 0.5]], [0.6, 0.0, 0.8, 0.0], [0.05], 0.1)
@@ -164,8 +181,8 @@ def test_load_reports_line_numbers(tmp_path):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ("noize gaussian", "line 9: unknown header key 'noize'"),
-    ("epsilon 0.5", "line 9: duplicate header key 'epsilon'"),
+    ("noize gaussian", "line 9: key 'noize': unknown key"),
+    ("epsilon 0.5", "line 9: duplicate key 'epsilon'"),
 ])
 def test_load_rejects_unknown_and_duplicate_header_keys(tmp_path, extra, message):
     inst = random_sparse_instance(4, 1, 8, 0.1, seed=0)
@@ -196,7 +213,7 @@ def edited_instance_file(tmp_path, edit):
 def test_load_rejects_a_negative_noise_seed(tmp_path):
     def negative(lines):
         lines[5], lines[7] = "noise gaussian", "seed -1"
-    with pytest.raises(InstanceParseError, match="line 8: noise seed -1 is negative"):
+    with pytest.raises(InstanceParseError, match="line 8: bad value for 'seed': seed must be >= 0, got -1"):
         load_instance(edited_instance_file(tmp_path, negative))
 
 
@@ -207,7 +224,8 @@ def bypass_flag_file(tmp_path, flag):
 
 @pytest.mark.parametrize("flag", ["yes", "true", "2", "01"])
 def test_load_accepts_only_0_or_1_as_the_norm_bypass_flag(tmp_path, flag):
-    message = f"line 9: key 'theta_norm_bypassed' must be 0 or 1, got '{flag}'"
+    message = (f"line 9: bad value for 'theta_norm_bypassed': "
+               f"expected 0 or 1, got '{flag}'")
     with pytest.raises(InstanceParseError, match=message):
         load_instance(bypass_flag_file(tmp_path, flag))
     assert not load_instance(bypass_flag_file(tmp_path, "0")).theta_norm_bypassed

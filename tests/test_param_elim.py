@@ -326,8 +326,7 @@ def test_run_guarantees_error_and_query_bounds():
         assert res.queries == len(ledger)
         assert res.queries <= net.size * math.comb(4, 1)
         assert res.queries <= (4 / inst.epsilon + 1) ** 1 * math.comb(4, 1)
-        res = mark_ground_truth(res, inst)
-        assert res.ground_truth_alive
+        assert mark_ground_truth(res, inst)
 
 
 def test_run_two_sparse_instance():
@@ -337,7 +336,7 @@ def test_run_two_sparse_instance():
     res = run_parameter_elimination(inst, ledger, net=net)
     assert uniform_error(inst, res.predictions) <= 4 * inst.epsilon + 1e-9
     assert res.queries <= net.size * math.comb(4, 2)
-    assert mark_ground_truth(res, inst).ground_truth_alive
+    assert mark_ground_truth(res, inst)
     # progress invariant: one family killed per query
     assert int(res.alive.sum()) == res.candidates.n_pairs - res.queries
 

@@ -1,13 +1,17 @@
-"""The benchmark's trace hooks still name functions of the package, and
-each entry point loads only the slice of scipy it calls."""
+"""The benchmark's trace hooks still name functions of the package, each
+entry point loads only the slice of scipy it calls, and the config grammar's
+documentation matches the reader's table."""
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from sparsebandit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -89,3 +93,11 @@ def test_one_run_loads_only_its_scipy_slice(tmp_path, algorithm, absent, present
     assert code == 0
     assert not set(absent) & set(loaded), loaded
     assert set(present) <= set(loaded), loaded
+
+
+def test_config_grammar_doc_names_exactly_the_table_keys():
+    """The grammar in cli's docstring lists one key per entry, indented four
+    spaces; continuation lines are indented further."""
+    documented = re.findall(r"^    ([a-z_]+) ", cli.__doc__, flags=re.MULTILINE)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(cli.CONFIG_KEYS)
