@@ -7,8 +7,8 @@ Usage (from the root of a checkout):
 
 Times N runs (default 9) of each workload and records the best, the median
 and the spread (max - min) of their wall times, with the counts of one run.
-The inner loops are the designs and estimates and the parameter-elimination
-scan:
+The inner loops are the designs and estimates, the parameter-elimination
+scan and the greedy packing of its nets:
 
 - ``design-elim phase 1``: ``run_design_elimination`` at (d, s, k) =
   (40, 2, 500) and (16, 3, 300), epsilon 0.1, seed 0, with the phase-2 gap
@@ -21,6 +21,10 @@ scan:
   epsilon 0.6, for s = 2 and for s = 3, over seeds 1-3, on nets built (and
   seeded with the true restriction, as the CLI does) before the clock
   starts; counts elimination steps and queries over the three seeds.
+- ``greedy packing``: ``greedy_pack`` of a ``sphere_pool(s, pool, 0)`` drawn
+  before the clock starts, at separations from 0.3 down to 0.0014 and pools
+  of 11,755 to 10**6 points (the first two are the pools of the ``param-scan``
+  benchmark at s = 2 and 3); counts the accepted points.
 - ``one-shot <algorithm>``: ``sparsebandit run`` of one grid point in a
   fresh interpreter, timed from spawning the process to its exit, so the
   imports count: param-elim at (d, s, k, epsilon) = (6, 3, 16, 0.6),
@@ -55,16 +59,31 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = (("design-elim phase 1", 40, 2, 500, 0.1),
-             ("design-elim phase 1", 16, 3, 300, 0.1),
-             ("collect_representatives", 14, 2, 56, 0.05),
-             ("param-elim loop", 6, 2, 16, 0.6),
-             ("param-elim loop", 6, 3, 16, 0.6),
-             ("one-shot param-elim", 6, 3, 16, 0.6),
-             ("one-shot design-elim", 40, 2, 500, 0.1),
-             ("one-shot general-features", 8, 2, 40, 0.05))
+
+def _grid(d, s, k, epsilon):
+    return {"d": d, "s": s, "k": k, "epsilon": epsilon}
+
+
+def _pool(s, pool, sep):
+    return {"s": s, "pool": pool, "sep": sep}
+
+
+# (workload, parameters)
+WORKLOADS = (("design-elim phase 1", _grid(40, 2, 500, 0.1)),
+             ("design-elim phase 1", _grid(16, 3, 300, 0.1)),
+             ("collect_representatives", _grid(14, 2, 56, 0.05)),
+             ("param-elim loop", _grid(6, 2, 16, 0.6)),
+             ("param-elim loop", _grid(6, 3, 16, 0.6)),
+             *(("greedy packing", _pool(s, pool, sep))
+               for s, pool, sep in ((2, 11_755, 0.3), (3, 90_125, 0.3),
+                                    (2, 10 ** 6, 0.025), (2, 200_000, 0.005),
+                                    (2, 10 ** 6, 0.0014), (3, 10 ** 6, 0.06),
+                                    (6, 200_000, 0.3))),
+             ("one-shot param-elim", _grid(6, 3, 16, 0.6)),
+             ("one-shot design-elim", _grid(40, 2, 500, 0.1)),
+             ("one-shot general-features", _grid(8, 2, 40, 0.05)))
 PARAM_SEEDS = (1, 2, 3)
-COUNTS = ("designs", "steps", "queries")
+COUNTS = ("designs", "steps", "queries", "accepted")
 
 
 def phase_one(d, s, k, eps):
@@ -124,6 +143,17 @@ def param_loop(d, s, k, eps):
     return run
 
 
+def packing(s, pool, sep):
+    """One greedy packing of a seeded sphere pool."""
+    from sparsebandit.net import greedy_pack, sphere_pool
+
+    points = sphere_pool(s, pool, 0)
+
+    def run():
+        return {"accepted": len(greedy_pack(points, sep))}
+    return run
+
+
 # what the ``sparsebandit`` console script runs, with argv[1] (the package's
 # src directory) first on the path; prints the public scipy subpackages the
 # run loaded as its last line
@@ -163,19 +193,19 @@ def one_shot(algorithm):
 PREPARE = {"design-elim phase 1": phase_one,
            "collect_representatives": collect,
            "param-elim loop": param_loop,
+           "greedy packing": packing,
            **{f"one-shot {alg}": one_shot(alg)
               for alg in ("param-elim", "design-elim", "general-features")}}
 
 
-def measure(name, d, s, k, eps, runs):
-    run = PREPARE[name](d, s, k, eps)
+def measure(name, params, runs):
+    run = PREPARE[name](*params.values())
     counts, times = None, []
     for _ in range(runs):
         t0 = time.perf_counter()
         counts = run()
         times.append(time.perf_counter() - t0)
-    return {"workload": name, "d": d, "s": s, "k": k, "epsilon": eps,
-            **counts,
+    return {"workload": name, **params, **counts,
             "best_s": min(times), "median_s": statistics.median(times),
             "spread_s": max(times) - min(times),
             "runs_s": [round(t, 6) for t in times]}
@@ -187,6 +217,12 @@ def src_digest(src: Path) -> str:
     for path in sorted((src / "sparsebandit").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def _where(result):
+    """The workload's parameters, as printed."""
+    keys = ("s", "pool", "sep") if "pool" in result else ("d", "s", "k", "epsilon")
+    return " ".join(f"{key}={result[key]}" for key in keys)
 
 
 def counts_of(result):
@@ -213,8 +249,7 @@ def main(argv=None) -> int:
             continue
         for mine, theirs in zip(results, entry["results"]):
             if counts_of(mine) != counts_of(theirs):
-                print(f"{mine['workload']} at d={mine['d']} s={mine['s']}: "
-                      f"counts {counts_of(mine)} differ from {other}'s "
+                print(f"{mine['workload']} at {_where(mine)}: counts {counts_of(mine)} differ from {other}'s "
                       f"{counts_of(theirs)}", file=sys.stderr)
                 return 1
     labels[args.label] = {
@@ -228,9 +263,9 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     for r in results:
         counts = "  ".join(f"{key} {value}" for key, value in counts_of(r).items())
-        scipy = f"  scipy {' '.join(r['scipy'])}" if "scipy" in r else ""
-        print(f"{args.label:>8} {r['workload']:<25} d={r['d']:<3} s={r['s']} "
-              f"k={r['k']:<4} best {r['best_s']:.4f} s  median "
+        scipy = f"  scipy {' '.join(r['scipy']) or '-'}" if "scipy" in r else ""
+        print(f"{args.label:>8} {r['workload']:<25} {_where(r):<28} best "
+              f"{r['best_s']:.4f} s  median "
               f"{r['median_s']:.4f} s  spread {r['spread_s']:.4f} s  {counts}{scipy}")
     return 0
 

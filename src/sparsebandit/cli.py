@@ -10,8 +10,9 @@ every real must be finite.
     instance_file  path            (explicit-file source)
     d            grid list of feature dimensions, each >= 1
     s            grid list of sparsities, each >= 1
-    epsilon      grid list; misspecification bound, or the orthogonality
-                 level when source = hard-instance
+    epsilon      grid list; misspecification bound, at most 2 for
+                 random-sparse, or the orthogonality level when source =
+                 hard-instance
     k            grid list of action counts, each >= 0 (hard-instance: 0 =
                  threshold)
     delta        grid list of reward gaps (hard-instance embedding and the
@@ -91,7 +92,7 @@ from .model import (
     uniform_error,
 )
 from .net import build_separated_net, include_point
-from .param_elim import check_triple_guard, run_parameter_elimination
+from .param_elim import check_triple_guard, guard_net_cap, run_parameter_elimination
 from .sparse_recovery import run_general_features
 
 CSV_COLUMNS = ("algorithm", "d", "s", "epsilon", "k", "seed", "queries",
@@ -163,6 +164,12 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"{path}:{lines[key]}: bad value for {key!r}: random-sparse needs "
             f"k >= 2d, got k {min(cfg.k)} with d {max(cfg.d)}")
+    # its rows and theta* are unit vectors, so <x, theta*> lies in [-1, 1]
+    # and a larger bound allows any reward; the net needs eps/2 <= 1 too
+    if cfg.source == "random-sparse" and max(cfg.epsilon) > 2.0:
+        raise ConfigError(
+            f"{path}:{lines['epsilon']}: bad value for 'epsilon': random-sparse "
+            f"needs epsilon <= 2, got {max(cfg.epsilon)}")
     return cfg
 
 
@@ -195,8 +202,12 @@ def _build_point_instance(cfg, d, s, eps, k, delta, seed):
 
 
 def _net_for(cfg, instance, seed):
+    """The param-elim net, with the true restriction planted when seed_net is
+    set and it is a unit vector. Packing stops at guard_net_cap points, past
+    which the triple guard refuses the net anyway."""
     net = build_separated_net(instance.s, instance.epsilon, seed,
-                              pool_size=cfg.pool_size)
+                              pool_size=cfg.pool_size,
+                              max_points=guard_net_cap(instance.d, instance.s))
     if cfg.seed_net:
         restriction = instance.theta_star.coords[list(instance.theta_star.support)]
         if abs(np.linalg.norm(restriction) - 1.0) <= NORM_TOL:

@@ -89,6 +89,21 @@ def check_triple_guard(d: int, net: CoveringNet) -> None:
             f"{n_triples} candidate triples exceed the desk-scale guard {TRIPLE_GUARD}")
 
 
+def guard_net_cap(d: int, s: int) -> int:
+    """Packed-net size at which check_triple_guard refuses the net, however
+    include_point changes it.
+
+    The guard admits at most L = isqrt(TRIPLE_GUARD // C(d, s)) net points,
+    the largest L with C(d, s) * L**2 <= TRIPLE_GUARD. include_point evicts
+    only points within the separation sep of the inserted one, and those are
+    at most 3**s: they are pairwise at least sep apart, so balls of radius
+    sep/2 around them are disjoint and fit in the ball of radius 3*sep/2
+    around the inserted point. A packing that reaches L + 3**s points
+    therefore keeps more than L after any insertion.
+    """
+    return math.isqrt(TRIPLE_GUARD // math.comb(d, s)) + 3 ** s
+
+
 def build_candidate_sets(features: FeatureMatrix, net: CoveringNet) -> CandidateSets:
     """Project every action restriction onto the net and cache anchor values.
 

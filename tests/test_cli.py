@@ -3,11 +3,13 @@
 import csv
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 
-from sparsebandit import NoiseModel, QueryLedger, cli, random_sparse_instance, save_instance
+from sparsebandit import (NoiseModel, QueryLedger, cli, param_elim, random_sparse_instance,
+                          save_instance)
 from sparsebandit.cli import (
     CSV_COLUMNS,
     main,
@@ -93,6 +95,12 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
                                           ("d 5", "random-sparse needs k >= 2d"),
                                           ("epsilon inf", "finite real, got 'inf'"),
                                           ("epsilon nan", "finite real, got 'nan'"),
+                                          ("epsilon 2.5",
+                                           "random-sparse needs epsilon <= 2"),
+                                          ("epsilon 0.5,1e300",
+                                           "random-sparse needs epsilon <= 2, got 1e\\+300"),
+                                          ("source random-sparse\nepsilon 3",
+                                           "random-sparse needs epsilon <= 2"),
                                           ("delta 0.5,inf", "finite real"),
                                           ("delta nan", "finite real"),
                                           ("c_const inf", "finite real"),
@@ -119,6 +127,17 @@ def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys, line, mes
     assert main(["run", str(path)]) == 1
     assert "config error: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_epsilon_above_two_is_read_outside_random_sparse(tmp_path):
+    """hard-instance reads epsilon as its orthogonality level, and an
+    explicit file carries its own bound, so only random-sparse refuses it."""
+    inst_path = tmp_path / "inst.txt"
+    save_instance(random_sparse_instance(3, 1, 8, 0.1, seed=0), inst_path)
+    for source in ("hard-instance", f"explicit-file\ninstance_file {inst_path}"):
+        path = write_config(tmp_path, f"algorithm random-baseline\nsource {source}\n"
+                                      f"epsilon 3\n")
+        assert parse_config(path).epsilon == [3.0]
 
 
 @pytest.mark.parametrize("algorithm,lines,message", [
@@ -308,6 +327,45 @@ output {out}
     assert main(["sweep", str(path)]) == 2
     assert ledger_records == []
     assert not out.exists()
+
+
+def test_param_elim_net_past_the_guard_is_refused_before_it_is_packed(
+        tmp_path, capsys, ledger_records):
+    """The full net here has about 13,000 points; packing stops at
+    guard_net_cap(6, 3) = 734 and the run exits 2 within a second."""
+    out = tmp_path / "big.csv"
+    path = write_config(tmp_path, "algorithm param-elim\nd 6\ns 3\nepsilon 0.05\n"
+                                  f"k 16\nseeds 0\noutput {out}\n")
+    t0 = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "the net has more than 733 points" in capsys.readouterr().err
+    assert ledger_records == []
+    assert not out.exists()
+
+
+def test_early_packing_stop_refuses_exactly_the_configs_the_guard_does(
+        tmp_path, monkeypatch):
+    """With the guard set so that it admits L net points, for L from well
+    below the full (seeded) net's size n to above it, a config is refused
+    iff n > L, whether packing stopped early or the full net was counted;
+    at L = n, the largest net the guard admits, the run completes."""
+    out = tmp_path / "near.csv"
+    path = write_config(tmp_path, "algorithm param-elim\nd 4\ns 2\nepsilon 0.5\n"
+                                  f"k 8\nseeds 0\npool_size 2000\noutput {out}\n")
+    cfg = parse_config(path)
+    (_, _, _, net), = cli.check_guards(cfg)[0]
+    n, subsets = net.size, math.comb(4, 2)
+    stopped = []
+    for limit in range(n - 3 ** 2 - 3, n + 2):
+        monkeypatch.setattr(param_elim, "TRIPLE_GUARD", subsets * limit * limit)
+        prepared, violations = cli.check_guards(cfg)
+        assert bool(violations) == (n > limit), limit
+        stopped += ["more than" in msg for _, _, msg in violations]
+        if limit == n:
+            assert prepared[0][3].size == n
+            assert main(["run", str(path)]) == 0
+    assert any(stopped) and not all(stopped)
 
 
 def test_hard_instance_overflow_is_refused_before_any_query(tmp_path, ledger_records):

@@ -25,6 +25,45 @@ def test_greedy_pack_matches_oracle():
             assert np.array_equal(greedy_pack(pool, sep), greedy_pack_oracle(pool, sep))
 
 
+def test_greedy_pack_windows_match_oracle():
+    """A multi-chunk pool where each sub-block's coordinate-0 window holds a
+    small part of the 903 accepted points; the last is accepted in chunk 2."""
+    pool = sphere_pool(2, 12_000, seed=7)
+    assert np.array_equal(greedy_pack(pool, 0.005), greedy_pack_oracle(pool, 0.005))
+
+
+def test_greedy_pack_windows_keep_pairs_just_under_the_separation():
+    """Each pool is one point repeated through chunk 0 and one chunk-1
+    candidate at a band offset from it, mostly along coordinate 0 and to
+    either side, so the candidate is its sub-block's whole range and the
+    pair's first coordinates differ by about sep, the window's half-width.
+    At sep 1.2e-7 the offsets are near an ulp of the coordinates, and the
+    rounding bound of the lifted product exceeds PACK_BAND * sep**2."""
+    rng = np.random.default_rng(11)
+    for sep in (0.3, 1.2e-7):
+        kept = []
+        for (major, minor), sign in zip(band_offsets(sep) * 4,
+                                        rng.choice([-1.0, 1.0], size=76)):
+            a = sphere_pool(2, 1, seed=len(kept))[0] * rng.uniform(0.5, 1.9)
+            pool = np.vstack([np.tile(a, (4096, 1)), a + [sign * major, minor]])
+            want = greedy_pack_oracle(pool, sep)
+            assert np.array_equal(greedy_pack(pool, sep), want)
+            kept.append(len(want))
+        assert set(kept) == {1, 2}                   # the band splits both ways
+
+
+def test_greedy_pack_with_repeated_and_non_unit_rows():
+    """Rows of norm 0 to 10, each repeated a few times across chunks; the
+    rounding bound scales with the largest norm."""
+    rng = np.random.default_rng(12)
+    for s in (1, 2, 4):
+        rows = rng.normal(size=(1_500, s)) * rng.uniform(0.0, 10.0, size=(1_500, 1))
+        rows[:50] = 0.0
+        pool = rows[rng.integers(0, len(rows), size=6_000)]
+        for sep in (0.1, 0.7):
+            assert np.array_equal(greedy_pack(pool, sep), greedy_pack_oracle(pool, sep))
+
+
 def band_offsets(sep):
     """Offsets at distance sep*(1 +- delta) for delta from 1e-10 down to
     1e-15, then offsets whose squared distance steps one ulp at a time across

@@ -5,7 +5,7 @@ import pytest
 
 from sparsebandit import build_separated_net, include_point
 from sparsebandit.errors import GuardExceededError, NormBoundError, ValidationError
-from sparsebandit.net import sphere_pool
+from sparsebandit.net import greedy_pack, sphere_pool
 
 
 def pairwise_min_dist(points):
@@ -61,6 +61,19 @@ def test_input_validation():
         build_separated_net(2, 2.5, seed=0)
     with pytest.raises(GuardExceededError):
         build_separated_net(2, 0.5, seed=0, pool_size=10 ** 7)
+
+
+def test_capped_packing_is_a_prefix_of_the_full_packing():
+    """A cap stops packing at its cap-th accept; build_separated_net then
+    refuses the net, and a cap above the net's size changes nothing."""
+    pool = sphere_pool(2, 10_000, seed=3)
+    full = greedy_pack(pool, 0.05)
+    for cap in (1, 7, len(full) - 1, len(full), len(full) + 1):
+        assert np.array_equal(greedy_pack(pool, 0.05, cap), full[:cap])
+    with pytest.raises(GuardExceededError, match=f"more than {len(full) - 1} points"):
+        build_separated_net(2, 0.1, seed=3, pool_size=10_000, max_points=len(full))
+    net = build_separated_net(2, 0.1, seed=3, pool_size=10_000, max_points=len(full) + 1)
+    assert np.array_equal(net.points, pool[full])
 
 
 def test_separation_that_underflows_is_refused_before_the_pool(monkeypatch):
