@@ -7,6 +7,9 @@ Usage (from the root of a checkout):
 
 Times N runs (default 9) of each workload and records the best, the median
 and the spread (max - min) of their wall times, with the counts of one run.
+An in-process workload first makes one untimed call, so the timed runs do
+not pay for lazy imports (``scipy.linalg`` on the first design) and
+first-call caches.
 The inner loops are the designs and estimates, the parameter-elimination
 scan and the greedy packing of its nets:
 
@@ -14,6 +17,10 @@ scan and the greedy packing of its nets:
   (40, 2, 500) and (16, 3, 300), epsilon 0.1, seed 0, with the phase-2 gap
   scan stubbed to find no gap, so a run is the C(d, s) designs and
   estimates plus the final error; counts designs and phase 1's queries.
+- ``design-elim run``: full ``run_design_elimination`` runs at (40, 2, 500),
+  epsilon 0.1, seeds 0-2, the benchmark's design-elim grid point; counts
+  the queries and records the gap searches (``first_prediction_gap``
+  calls), which are not compared, since they count searches, not steps.
 - ``collect_representatives`` at d = 14, s = 2, k = 56, epsilon 0.05,
   seed 0, as the general-features runs of the benchmark call it; it issues
   no query.
@@ -71,6 +78,7 @@ def _pool(s, pool, sep):
 # (workload, parameters)
 WORKLOADS = (("design-elim phase 1", _grid(40, 2, 500, 0.1)),
              ("design-elim phase 1", _grid(16, 3, 300, 0.1)),
+             ("design-elim run", _grid(40, 2, 500, 0.1)),
              ("collect_representatives", _grid(14, 2, 56, 0.05)),
              ("param-elim loop", _grid(6, 2, 16, 0.6)),
              ("param-elim loop", _grid(6, 3, 16, 0.6)),
@@ -83,7 +91,11 @@ WORKLOADS = (("design-elim phase 1", _grid(40, 2, 500, 0.1)),
              ("one-shot design-elim", _grid(40, 2, 500, 0.1)),
              ("one-shot general-features", _grid(8, 2, 40, 0.05)))
 PARAM_SEEDS = (1, 2, 3)
+DESIGN_SEEDS = (0, 1, 2)
+ONE_SHOTS = ("param-elim", "design-elim", "general-features")
+# counts both sides must agree on, and counts only recorded
 COUNTS = ("designs", "steps", "queries", "accepted")
+NOTED = ("gap_scans",)
 
 
 def phase_one(d, s, k, eps):
@@ -100,6 +112,31 @@ def phase_one(d, s, k, eps):
         finally:
             design_elim.first_prediction_gap = scan
         return {"designs": len(res.subsets), "queries": res.phase1_queries}
+    return run
+
+
+def design_run(d, s, k, eps):
+    """Full design-elim runs over DESIGN_SEEDS, counting the gap searches."""
+    from sparsebandit import QueryLedger, design_elim, random_sparse_instance
+
+    instances = [random_sparse_instance(d, s, k, eps, seed) for seed in DESIGN_SEEDS]
+
+    def run():
+        scan = design_elim.first_prediction_gap
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return scan(*args)
+
+        design_elim.first_prediction_gap = counted
+        try:
+            queries = sum(design_elim.run_design_elimination(instance, QueryLedger()).queries
+                          for instance in instances)
+        finally:
+            design_elim.first_prediction_gap = scan
+        return {"queries": queries, "gap_scans": calls}
     return run
 
 
@@ -191,15 +228,18 @@ def one_shot(algorithm):
 
 
 PREPARE = {"design-elim phase 1": phase_one,
+           "design-elim run": design_run,
            "collect_representatives": collect,
            "param-elim loop": param_loop,
            "greedy packing": packing,
            **{f"one-shot {alg}": one_shot(alg)
-              for alg in ("param-elim", "design-elim", "general-features")}}
+              for alg in ONE_SHOTS}}
 
 
 def measure(name, params, runs):
     run = PREPARE[name](*params.values())
+    if name not in {f"one-shot {alg}" for alg in ONE_SHOTS}:
+        run()       # warm-up, untimed
     counts, times = None, []
     for _ in range(runs):
         t0 = time.perf_counter()
@@ -262,7 +302,7 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     for r in results:
-        counts = "  ".join(f"{key} {value}" for key, value in counts_of(r).items())
+        counts = "  ".join(f"{key} {r[key]}" for key in COUNTS + NOTED if key in r)
         scipy = f"  scipy {' '.join(r['scipy']) or '-'}" if "scipy" in r else ""
         print(f"{args.label:>8} {r['workload']:<25} {_where(r):<28} best "
               f"{r['best_s']:.4f} s  median "

@@ -91,6 +91,61 @@ def _retained_columns(rows: np.ndarray) -> np.ndarray:
     return keep
 
 
+# backward-error constant of Householder QR, per reflector and row (see
+# _keeps_every_column)
+QR_BACKWARD_C = 64
+
+
+def _keeps_every_column(blocks: np.ndarray) -> np.ndarray:
+    """Which blocks A (k, c) of a stack provably keep every column under
+    _retained_columns, decided from their Gram matrices with no LAPACK call.
+
+    _retained_columns keeps all c columns exactly when k >= c and every
+    computed |r_ii| of the pivoted QR exceeds PIVOT_TOL; then it returns
+    0..c-1, which is what a cleared block gets instead.
+
+    QR side. Householder QR, blocked or not and under any column pivoting
+    P, is backward stable: the computed R is the exact R factor of
+    (A + dA) P with ||dA||_F <= c0 k c u ||A||_F (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 19.4 and section 19.5;
+    u = 2^-53, and c0 is a small integer the analyses leave unnamed, taken
+    as QR_BACKWARD_C). A triangular R has its diagonal as eigenvalues, so
+    every |r_ii| >= sigma_min(R) = sigma_min(A + dA) >= sigma_min(A) -
+    ||dA||_2. Every column is kept if sigma_min(A) > PIVOT_TOL + rho F,
+    with rho = c0 k c u and F >= ||A||_F.
+
+    Gram side. The Gram G = A^T A is formed in one matmul over the stack;
+    any summation order gives |G^ - G| <= gamma_k |A|^T |A| elementwise,
+    gamma_k = k u / (1 - k u), and |A|^T |A| <= n n^T by Cauchy-Schwarz,
+    with n_j = ||a_j||. Gershgorin on the exact G bounds sigma_min(A)^2 =
+    lambda_min(G) below by min_i (2 G_ii - sum_j |G_ij|). Replacing G by
+    G^ moves row i's value by at most 3 gamma_k n_i N, N = sum_j n_j;
+    evaluating it (a c-term sum, a doubling, a difference) moves it by at
+    most gamma_(c+2) (2 G^_ii + sum_j |G^_ij|) <= 3 gamma_(c+2) (1 +
+    gamma_k) n_i N. So lambda_min(G) >= min_i (2 G^_ii - sum_j |G^_ij| -
+    mu n_i N) with mu = 8 (k + c + 2) u: while k u < 1e-3, that covers
+    3 gamma_k + 3 gamma_(c+2) (1 + gamma_k), the ratio of n_i to the
+    computed sqrt(G^_ii) and the few last roundings, each of at most u
+    times a value below 2 n_i N. F = (1 + mu) sqrt(sum_i G^_ii) bounds
+    ||A||_F the same way.
+
+    A block is cleared when that bound exceeds (PIVOT_TOL + rho F)^2. A
+    block with k < c has a singular G, so its bound is at most 0 and it is
+    never cleared. A block that fails the test is not rank-deficient, only
+    uncertified: it keeps its _retained_columns call.
+    """
+    _, k, c = blocks.shape
+    u = np.finfo(np.float64).eps / 2
+    mu = 8 * (k + c + 2) * u
+    gram = np.matmul(blocks.transpose(0, 2, 1), blocks)
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    norms = np.sqrt(diag)
+    gersh = 2.0 * diag - np.abs(gram).sum(axis=2)
+    lower = (gersh - mu * norms * norms.sum(axis=1, keepdims=True)).min(axis=1)
+    frob = (1.0 + mu) * np.sqrt(diag.sum(axis=1))
+    return lower > (PIVOT_TOL + QR_BACKWARD_C * k * c * u * frob) ** 2
+
+
 def _start_rows(red: np.ndarray) -> np.ndarray:
     """Pivot rows with non-negligible residual, at most min(2r, k) of them;
     they span the reduced columns, so the uniform start has a finite g."""
@@ -210,11 +265,12 @@ def frank_wolfe_designs(blocks) -> list:
     """Frank-Wolfe designs of a stack (n, k, c) of same-shape row blocks.
 
     Each block keeps the columns its own pivoted QR retains, and dim is the
-    number it keeps. Starting uniform on a pivot-selected row subset of size
-    at most min(2*dim, k), every step moves mass toward the worst-leverage
-    row with the closed-form step size, halved as needed so the objective
-    never increases, until g(rho) <= 2 * dim. Weights below 1e-10 are pruned
-    at the end. Blocks that keep the same number of columns iterate
+    number it keeps; a block whose Gram matrix certifies that the QR keeps
+    every column (_keeps_every_column) skips the QR. Starting uniform on a
+    pivot-selected row subset of size at most min(2*dim, k), every step
+    moves mass toward the worst-leverage row with the closed-form step
+    size, halved as needed so the objective never increases, until
+    g(rho) <= 2 * dim. Weights below 1e-10 are pruned at the end. Blocks that keep the same number of columns iterate
     together; every design is bitwise that of the block run alone. Raises
     ConvergenceError when MAX_ITER steps do not reach a target.
     """
@@ -223,7 +279,9 @@ def frank_wolfe_designs(blocks) -> list:
         raise DimensionMismatchError("blocks must be a stack of non-empty 2-d arrays")
     if not np.isfinite(blocks).all():
         raise ValidationError("rows must be finite")
-    retained = [_retained_columns(block) for block in blocks]
+    every = np.arange(blocks.shape[2])
+    retained = [every if cleared else _retained_columns(block)
+                for cleared, block in zip(_keeps_every_column(blocks).tolist(), blocks)]
     if any(cols.size == 0 for cols in retained):
         raise ValidationError("rows are numerically zero: no columns retained")
     bound = core_set_bound(blocks.shape[2])

@@ -28,6 +28,8 @@ from .model import BanditInstance, Event, QueryLedger, query
 from .param_elim import subsets_of_size
 
 SUBSET_GUARD = 10 ** 5
+# alive rivals per block of a gap search
+RIVAL_BLOCK = 32
 
 
 def check_subset_guard(d: int, s: int) -> None:
@@ -53,26 +55,32 @@ class DesignElimResult:
 
 def first_prediction_gap(preds: np.ndarray, alive: np.ndarray, threshold: float,
                          start: int = 0, rival_start: int = 0):
-    """First (primary, rival, action) with |preds gap| > threshold, or None.
+    """The first block of rivals with a prediction gap above threshold
+    against the first primary that has one: (primary, rivals, actions), or
+    None when no alive pair has a gap.
 
-    Subsets scan in lexicographic order for both roles, actions by row.
-    Primaries before ``start`` are skipped: a caller passes the last primary
-    once every alive subset before it is known to have no gap against any
-    alive rival, which stays true as long as subsets only die. Rivals before
-    ``rival_start`` are skipped for the primary ``start`` alone: a caller
-    passes the last rival once every rival before it is dead or has no gap
-    against that primary. Later primaries scan from rival 0.
+    Subsets scan in lexicographic order for both roles. A primary's alive
+    rivals (itself excluded) are cut, in index order, into blocks of
+    RIVAL_BLOCK; the first block holding a rival with a gap gives the
+    rivals in it that have one, ascending, each with the first action (by
+    row) where it does. Primaries before ``start`` are skipped: a caller
+    passes the last primary once every alive subset before it is known to
+    have no gap against any alive rival, which stays true as long as
+    subsets only die. Rivals before ``rival_start`` are skipped for the
+    primary ``start`` alone: a caller passes it once every rival before it
+    is dead or has no gap against that primary. Later primaries scan from
+    rival 0.
     """
-    n_sub = preds.shape[0]
-    for m in range(start, n_sub):
-        if not alive[m]:
-            continue
-        for mp in range(rival_start if m == start else 0, n_sub):
-            if mp == m or not alive[mp]:
-                continue
-            gaps = np.abs(preds[mp] - preds[m]) > threshold
-            if gaps.any():
-                return m, mp, int(np.argmax(gaps))
+    for m in (np.flatnonzero(alive[start:]) + start).tolist():
+        lo = rival_start if m == start else 0
+        rivals = np.flatnonzero(alive[lo:]) + lo
+        rivals = rivals[rivals != m]
+        for b in range(0, rivals.size, RIVAL_BLOCK):
+            block = rivals[b:b + RIVAL_BLOCK]
+            gaps = np.abs(preds[block] - preds[m]) > threshold
+            hit = gaps.any(axis=1)
+            if hit.any():
+                return m, block[hit], gaps[hit].argmax(axis=1)
     return None
 
 
@@ -98,10 +106,13 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
         estimates.update(zip(chunk, thetas))
     phase1_queries = len(ledger)
 
-    # each step resumes the scan at the last (primary, rival): every alive
-    # subset before the primary has no gap, every rival before the rival is
-    # dead or has no gap with the primary, and since rivals only die and
-    # predictions never change it stays so
+    # each search resumes at the last primary and, while it lives, past its
+    # last rival: every alive subset before the primary has no gap, every
+    # rival before the cursor is dead or has no gap with the primary, and
+    # since subsets only die and predictions never change it stays so. The
+    # rivals a search returns are walked in order until the primary dies:
+    # a step kills only its rival or the primary, so every later rival of
+    # the block is still alive and is the one a fresh search would find.
     alive = np.ones(len(subsets), dtype=bool)
     cursor = rival_cursor = 0
     log: list[Event] = []
@@ -109,22 +120,25 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
         found = first_prediction_gap(preds, alive, gap_thr, cursor, rival_cursor)
         if found is None:
             break
-        m, mp, x = found
-        cursor, rival_cursor = m, mp
-        reward = query(instance, x, ledger)
-        killed = []
-        if abs(reward - preds[m, x]) <= kill_thr:
-            alive[mp] = False
-            killed.append(mp)
-        else:
-            alive[m] = False
-            killed.append(m)
-            if abs(reward - preds[mp, x]) > kill_thr:
+        m, rivals, actions = found
+        cursor, rival_cursor = m, int(rivals[-1]) + 1
+        for mp, x in zip(rivals.tolist(), actions.tolist()):
+            if not alive[m]:
+                break
+            reward = query(instance, x, ledger)
+            killed = []
+            if abs(reward - preds[m, x]) <= kill_thr:
                 alive[mp] = False
                 killed.append(mp)
-        log.append(Event("elimination", len(log), {
-            "action": x, "reward": reward, "primary": m, "rival": mp,
-            "killed": tuple(killed)}))
+            else:
+                alive[m] = False
+                killed.append(m)
+                if abs(reward - preds[mp, x]) > kill_thr:
+                    alive[mp] = False
+                    killed.append(mp)
+            log.append(Event("elimination", len(log), {
+                "action": x, "reward": reward, "primary": m, "rival": mp,
+                "killed": tuple(killed)}))
 
     if not alive.any():
         raise EmptySurvivorError(

@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the library's solver paths."""
 
+import math
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -144,6 +145,64 @@ def start_rows_qr_oracle(red):
     if n_pivots < len(init):
         init = init[: max(n_pivots, 1)]
     return init
+
+
+def subset_elimination_reference(instance, subsets, estimates):
+    """Phase 2 of design elimination as the paper states it, step by step.
+
+    Each step takes the first alive pair (primary m, rival m') in
+    lexicographic order whose predictions differ by more than
+    2 eps (1 + sqrt(2s)) at some action, and the first such action x; it
+    reads r_x off the reward table and removes m' if r_x is within
+    eps (1 + sqrt(2s)) of m's prediction, else m, and m' too if r_x is not
+    within that of m''s. Every step searches again from the first pair.
+    Predictions never change, so each pair's first gap action is computed
+    once, when a search first needs it, and kept. Returns the
+    (action, reward) queries and the (step, action, reward, primary, rival,
+    killed) log.
+    """
+    phi = instance.features.matrix
+    preds = np.array([phi[:, list(subset)] @ estimates[subset] for subset in subsets])
+    kill_thr = instance.epsilon * (1.0 + math.sqrt(2.0 * instance.s))
+    n_sub = len(subsets)
+    alive = np.ones(n_sub, dtype=bool)
+    # first gap action of each (primary, rival): -1 none, -2 not computed yet
+    first_gap = np.full((n_sub, n_sub), -2, dtype=np.int32)
+    np.fill_diagonal(first_gap, -1)
+    queries, log = [], []
+    while True:
+        hit = None
+        for m in np.flatnonzero(alive).tolist():
+            row = first_gap[m]
+            while hit is None:
+                open_rivals = np.flatnonzero(alive & (row != -1))
+                if not open_rivals.size:
+                    break
+                unknown = row[open_rivals] == -2
+                if not unknown[0]:
+                    mp = int(open_rivals[0])
+                    hit = m, mp, int(row[mp])
+                    break
+                # the leading rivals not computed yet, a few at a time
+                lead = unknown.size if unknown.all() else int(np.argmin(unknown))
+                todo = open_rivals[:min(lead, 64)]
+                gaps = np.abs(preds[todo] - preds[m]) > 2.0 * kill_thr
+                row[todo] = np.where(gaps.any(axis=1), gaps.argmax(axis=1), -1)
+            if hit is not None:
+                break
+        if hit is None:
+            return queries, log
+        m, mp, x = hit
+        reward = float(instance.rewards[x])
+        if abs(reward - preds[m, x]) <= kill_thr:
+            killed = (mp,)
+        elif abs(reward - preds[mp, x]) > kill_thr:
+            killed = (m, mp)
+        else:
+            killed = (m,)
+        alive[list(killed)] = False
+        queries.append((x, reward))
+        log.append((len(log), x, reward, m, mp, killed))
 
 
 def worst_case_misspecification(instance, ledger, predictions):

@@ -8,8 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from sparsebandit import (NoiseModel, QueryLedger, cli, param_elim, random_sparse_instance,
-                          save_instance)
+from sparsebandit import (NoiseModel, QueryLedger, build_instance, cli, param_elim,
+                          random_sparse_instance, save_instance)
 from sparsebandit.cli import (
     CSV_COLUMNS,
     main,
@@ -594,6 +594,63 @@ output {out}
     record = dict(zip(CSV_COLUMNS, out.read_text().strip().splitlines()[1].split(",")))
     assert record["d"] == "4" and record["k"] == "12"
     assert record["bound_satisfied"] == "true"
+
+
+# Three degenerate explicit-file instances: a duplicated column (the
+# subset {0, 3} is rank one), a zero column and duplicated rows, each with
+# theta* = (0.6, 0.8, 0, 0) and epsilon 0.1
+DEGENERATE_BASE = np.array([
+    [-0.69, -0.44, 0.5], [-0.74, -0.12, -0.03], [0.45, -0.75, -0.21],
+    [-0.12, 0.16, 0.44], [-0.42, 0.29, 0.38], [-0.66, 0.62, -0.26],
+    [0.76, 0.16, -0.05], [-0.68, 0.3, -0.18], [0.28, 0.75, -0.51],
+    [-0.39, 0.47, 0.43]])
+DEGENERATE_FEATURES = {
+    "duplicated-column": 0.7 * DEGENERATE_BASE[:, [0, 1, 2, 0]],
+    "zero-column": np.column_stack([DEGENERATE_BASE, np.zeros(10)]),
+    "duplicated-rows": np.column_stack([DEGENERATE_BASE, np.full(10, 0.1)])[
+        [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]],
+}
+# run.csv row of each (instance, algorithm), recorded before the design
+# rank certificate and the rival blocks; every run exits 0
+DEGENERATE_ROWS = {
+    ("duplicated-column", "design-elim"):
+        "12,0.094047619047619047,0,0.90000000000000013",
+    ("duplicated-column", "benign-elim"):
+        "6,0.15484134908747987,0,4.8954167034928968",
+    ("duplicated-column", "general-features"):
+        "6,0.092927024604682898,0,6.7708044886573573",
+    ("zero-column", "design-elim"):
+        "12,0.094047619047619074,0,0.90000000000000013",
+    ("zero-column", "benign-elim"):
+        "9,0.15484134908747982,0,4.8954167034928968",
+    ("zero-column", "general-features"):
+        "6,0.092927024604682898,0,6.7708044886573573",
+    ("duplicated-rows", "design-elim"):
+        "14,0.097735849056603846,0.080000000000000002,0.90000000000000013",
+    ("duplicated-rows", "benign-elim"):
+        "8,0.74076648810047174,0,4.8954167034928968",
+    ("duplicated-rows", "general-features"):
+        "4,0.087978051426019291,0,6.7708044886573573",
+}
+
+
+@pytest.mark.parametrize("case, algorithm", DEGENERATE_ROWS,
+                         ids=[f"{c}-{a}" for c, a in DEGENERATE_ROWS])
+def test_degenerate_explicit_file_runs_are_byte_identical(tmp_path, case, algorithm):
+    nu = [0.03, -0.05, 0.0, 0.08, -0.02, 0.01, -0.07, 0.04, 0.0, -0.09]
+    instance = build_instance(DEGENERATE_FEATURES[case], [0.6, 0.8, 0.0, 0.0], nu, 0.1)
+    inst_path, out = tmp_path / "inst.txt", tmp_path / "run.csv"
+    save_instance(instance, inst_path)
+    path = write_config(tmp_path, f"""
+algorithm {algorithm}
+source explicit-file
+instance_file {inst_path}
+seeds 0
+output {out}
+""")
+    assert main(["run", str(path)]) == 0
+    row = f"{algorithm},4,2,0.10000000000000001,10,0,{DEGENERATE_ROWS[case, algorithm]},true,0"
+    assert out.read_bytes() == f"{','.join(CSV_COLUMNS)}\r\n{row}\r\n".encode()
 
 
 def test_detail_log_output(tmp_path):

@@ -194,9 +194,14 @@ def design_blocks():
 
 
 def test_designs_match_the_scipy_qr_setup_bitwise(monkeypatch):
+    """Also for the blocks the rank certificate clears: under the oracle
+    every block takes the QR path."""
     blocks = design_blocks()
     assert blocks[-4].shape == (160, 73)
     got = [frank_wolfe_design(block) for block in blocks]
+    assert sum(keeps_every_column(block) for block in blocks) == 965
+    monkeypatch.setattr(design_mod, "_keeps_every_column",
+                        lambda stack: np.zeros(len(stack), dtype=bool))
     monkeypatch.setattr(design_mod, "_retained_columns", retained_columns_qr_oracle)
     monkeypatch.setattr(design_mod, "_start_rows", start_rows_qr_oracle)
     for block, design in zip(blocks, got):
@@ -208,6 +213,55 @@ def test_designs_match_the_scipy_qr_setup_bitwise(monkeypatch):
         assert design.retained_columns == want.retained_columns
         assert design.g_history == want.g_history
         assert design.iterations == want.iterations
+
+
+def keeps_every_column(block):
+    return bool(design_mod._keeps_every_column(block[None])[0])
+
+
+def near_rank_one_blocks():
+    """Two-column blocks A = Q diag(1, sigma) V^T c with orthonormal Q
+    (k, 2), for sigma_min = c sigma from 1e-6 down to 1e-12 and k 2-500.
+    The rotation V is the identity, where Gershgorin is sharp, 45 degrees,
+    where the two columns have equal norms and the computed Gram is
+    rounding noise around sigma^2, or random."""
+    rng = np.random.default_rng(21)
+    blocks = []
+    for sigma in np.logspace(-6, -12, 31):
+        for k in (2, 40, 500):
+            for angle in (0.0, np.pi / 4, rng.uniform(0, 2 * np.pi)):
+                for _ in range(3):
+                    q, _ = np.linalg.qr(rng.normal(size=(k, 2)))
+                    v = np.array([[np.cos(angle), -np.sin(angle)],
+                                  [np.sin(angle), np.cos(angle)]])
+                    blocks.append((q * [1.0, sigma]) @ v.T * rng.uniform(0.5, 2.0))
+    return blocks
+
+
+def test_rank_certificate_never_clears_a_block_the_qr_trims():
+    """The Gram certificate may clear only blocks whose pivoted QR keeps
+    every column, and it clears every benchmark subset block."""
+    rng = np.random.default_rng(22)
+    base = random_rows(rng, 40, 3)
+    scaled = base.copy()
+    scaled[:, 1] *= 1e-11
+    degenerate = [base[:, [0, 1, 0]], np.column_stack([base, np.zeros(40)]), scaled,
+                  base[[0, 1, 2, 0, 1, 2]], base[:2]]
+    benchmark, sweep = design_blocks(), near_rank_one_blocks()
+    cleared = trimmed = 0
+    for block in benchmark + sweep + degenerate:
+        full = retained_columns_qr_oracle(block).size == block.shape[1]
+        trimmed += not full
+        if keeps_every_column(block):
+            assert full, block
+            cleared += 1
+    assert trimmed >= 250 and cleared >= 1150
+    # every benchmark subset block and every general-features one is cleared
+    assert all(keeps_every_column(block) for block in benchmark[:965])
+    # a stack decides each block as it is decided alone
+    stack = np.stack([block for block in sweep if len(block) == 500])
+    assert design_mod._keeps_every_column(stack).tolist() == [
+        keeps_every_column(block) for block in stack]
 
 
 # sha256 over every field of every design of design_blocks(), one BLAS thread,
