@@ -21,6 +21,13 @@ scan and the greedy packing of its nets:
   epsilon 0.1, seeds 0-2, the benchmark's design-elim grid point; counts
   the queries and records the gap searches (``first_prediction_gap``
   calls), which are not compared, since they count searches, not steps.
+- ``compressed stage``: at (d, s, k, epsilon) = (96, 3, 160, 0.25), seeds
+  0-2, the benchmark's compressed stage: ``find_certified_map`` on the
+  clean instance, then ``run_benign_elimination`` on the clean and on the
+  noisy rewards with the map, budget 1200, instances built before the
+  clock starts; counts the queries and rounds and records the designs it
+  computed (``compressed_elim.frank_wolfe_design`` calls, ``fw_designs``),
+  which are not compared, since a reused design is not computed.
 - ``collect_representatives`` at d = 14, s = 2, k = 56, epsilon 0.05,
   seed 0, as the general-features runs of the benchmark call it; it issues
   no query.
@@ -79,6 +86,7 @@ def _pool(s, pool, sep):
 WORKLOADS = (("design-elim phase 1", _grid(40, 2, 500, 0.1)),
              ("design-elim phase 1", _grid(16, 3, 300, 0.1)),
              ("design-elim run", _grid(40, 2, 500, 0.1)),
+             ("compressed stage", _grid(96, 3, 160, 0.25)),
              ("collect_representatives", _grid(14, 2, 56, 0.05)),
              ("param-elim loop", _grid(6, 2, 16, 0.6)),
              ("param-elim loop", _grid(6, 3, 16, 0.6)),
@@ -92,10 +100,12 @@ WORKLOADS = (("design-elim phase 1", _grid(40, 2, 500, 0.1)),
              ("one-shot general-features", _grid(8, 2, 40, 0.05)))
 PARAM_SEEDS = (1, 2, 3)
 DESIGN_SEEDS = (0, 1, 2)
+COMPRESSED_SEEDS = (0, 1, 2)
+COMPRESSED_BUDGET = 1200
 ONE_SHOTS = ("param-elim", "design-elim", "general-features")
 # counts both sides must agree on, and counts only recorded
-COUNTS = ("designs", "steps", "queries", "accepted")
-NOTED = ("gap_scans",)
+COUNTS = ("designs", "steps", "rounds", "queries", "accepted")
+NOTED = ("gap_scans", "fw_designs")
 
 
 def phase_one(d, s, k, eps):
@@ -137,6 +147,46 @@ def design_run(d, s, k, eps):
         finally:
             design_elim.first_prediction_gap = scan
         return {"queries": queries, "gap_scans": calls}
+    return run
+
+
+def compressed_stage(d, s, k, eps):
+    """A certified map, then clean and noisy benign elimination, over
+    COMPRESSED_SEEDS, counting the designs computed."""
+    import math
+
+    from sparsebandit import NoiseModel, QueryLedger, compressed_elim, random_sparse_instance
+    from sparsebandit.compression import choose_target_dim, find_certified_map
+
+    upsilon = math.log(k) ** 0.25 * math.sqrt(eps)
+    p = choose_target_dim(k, upsilon, d)
+    cases = [(seed, random_sparse_instance(d, s, k, eps, seed, basis_probes=False),
+              random_sparse_instance(d, s, k, eps, seed, basis_probes=False,
+                                     noise=NoiseModel(kind="gaussian", seed=seed)))
+             for seed in COMPRESSED_SEEDS]
+
+    def run():
+        solve = compressed_elim.frank_wolfe_design
+        calls = queries = rounds = 0
+
+        def counted(rows):
+            nonlocal calls
+            calls += 1
+            return solve(rows)
+
+        compressed_elim.frank_wolfe_design = counted
+        try:
+            for seed, clean, noisy in cases:
+                cmap = find_certified_map(d, p, clean.features.matrix,
+                                          clean.theta_star.coords, upsilon, base_seed=seed)
+                for instance in (clean, noisy):
+                    res = compressed_elim.run_benign_elimination(
+                        instance, cmap, COMPRESSED_BUDGET, QueryLedger())
+                    queries += res.queries
+                    rounds += res.rounds
+        finally:
+            compressed_elim.frank_wolfe_design = solve
+        return {"queries": queries, "rounds": rounds, "fw_designs": calls}
     return run
 
 
@@ -229,6 +279,7 @@ def one_shot(algorithm):
 
 PREPARE = {"design-elim phase 1": phase_one,
            "design-elim run": design_run,
+           "compressed stage": compressed_stage,
            "collect_representatives": collect,
            "param-elim loop": param_loop,
            "greedy packing": packing,

@@ -11,7 +11,7 @@ receive only the certified map. A map is fully reproducible from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,11 @@ class CompressionMap:
     seed: int
     upsilon: float | None = None       # distortion target it was certified for
     max_violation: float | None = None
+    # (shape, bytes) of the compressed rows of the last round-0 design run on
+    # this map, and that design; set by compressed_elim, so a new map starts
+    # empty and nothing outlives the map
+    _round0: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         m = np.ascontiguousarray(np.asarray(self.matrix, dtype=np.float64))

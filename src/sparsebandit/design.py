@@ -147,16 +147,13 @@ def _keeps_every_column(blocks: np.ndarray) -> np.ndarray:
 
 
 def _start_rows(red: np.ndarray) -> np.ndarray:
-    """Pivot rows with non-negligible residual, at most min(2r, k) of them;
-    they span the reduced columns, so the uniform start has a finite g."""
-    k, r = red.shape
+    """Pivot rows with non-negligible residual, at least one; the QR of the
+    r x k transpose has min(r, k) pivots, so there are at most that many.
+    They span the reduced columns, so the uniform start has a finite g."""
     diag, row_piv = _pivoted_qr(red.T)
     scale = max(diag[0], 1.0) if diag.size else 1.0
     n_pivots = np.count_nonzero(diag > 1e-12 * scale)
-    init = row_piv[: min(2 * r, k)]
-    if n_pivots < len(init):
-        init = init[: max(n_pivots, 1)]
-    return init
+    return row_piv[: max(n_pivots, 1)]
 
 
 def _gram(red_t: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -267,12 +264,13 @@ def frank_wolfe_designs(blocks) -> list:
     Each block keeps the columns its own pivoted QR retains, and dim is the
     number it keeps; a block whose Gram matrix certifies that the QR keeps
     every column (_keeps_every_column) skips the QR. Starting uniform on a
-    pivot-selected row subset of size at most min(2*dim, k), every step
+    pivot-selected row subset of size at most min(dim, k), every step
     moves mass toward the worst-leverage row with the closed-form step
     size, halved as needed so the objective never increases, until
-    g(rho) <= 2 * dim. Weights below 1e-10 are pruned at the end. Blocks that keep the same number of columns iterate
-    together; every design is bitwise that of the block run alone. Raises
-    ConvergenceError when MAX_ITER steps do not reach a target.
+    g(rho) <= 2 * dim. Weights below 1e-10 are pruned at the end. Blocks
+    that keep the same number of columns iterate together; every design
+    is bitwise that of the block run alone. Raises ConvergenceError when
+    MAX_ITER steps do not reach a target.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim != 3 or blocks.shape[1] < 1:
