@@ -17,6 +17,16 @@ scan and the greedy packing of its nets:
   (40, 2, 500) and (16, 3, 300), epsilon 0.1, seed 0, with the phase-2 gap
   scan stubbed to find no gap, so a run is the C(d, s) designs and
   estimates plus the final error; counts designs and phase 1's queries.
+- ``start design``: the start of every Frank-Wolfe design of phase 1 at
+  (40, 2, 500), epsilon 0.1, seeds 0-2 (the subset stacks of ``SUBSET_CHUNK``
+  blocks, built before the clock starts): ``design._lockstep`` on each
+  stack, which picks the start rows, forms the start design matrices and
+  decides which blocks already meet the target; no block of these steps.
+  Counts the designs and those at the target at step 0, and records how
+  many blocks the start-row and start-target certificates cleared and how
+  many took the pivoted QR (``start_fallback``) or the leverage solve
+  (``target_solved``); a checkout without the certificates clears none, so
+  these are not compared.
 - ``design-elim run``: full ``run_design_elimination`` runs at (40, 2, 500),
   epsilon 0.1, seeds 0-2, the benchmark's design-elim grid point; counts
   the queries and records the gap searches (``first_prediction_gap``
@@ -85,6 +95,7 @@ def _pool(s, pool, sep):
 # (workload, parameters)
 WORKLOADS = (("design-elim phase 1", _grid(40, 2, 500, 0.1)),
              ("design-elim phase 1", _grid(16, 3, 300, 0.1)),
+             ("start design", _grid(40, 2, 500, 0.1)),
              ("design-elim run", _grid(40, 2, 500, 0.1)),
              ("compressed stage", _grid(96, 3, 160, 0.25)),
              ("collect_representatives", _grid(14, 2, 56, 0.05)),
@@ -104,8 +115,9 @@ COMPRESSED_SEEDS = (0, 1, 2)
 COMPRESSED_BUDGET = 1200
 ONE_SHOTS = ("param-elim", "design-elim", "general-features")
 # counts both sides must agree on, and counts only recorded
-COUNTS = ("designs", "steps", "rounds", "queries", "accepted")
-NOTED = ("gap_scans", "fw_designs")
+COUNTS = ("designs", "at_target", "steps", "rounds", "queries", "accepted")
+NOTED = ("gap_scans", "fw_designs", "start_certified", "start_fallback",
+         "target_certified", "target_solved")
 
 
 def phase_one(d, s, k, eps):
@@ -122,6 +134,48 @@ def phase_one(d, s, k, eps):
         finally:
             design_elim.first_prediction_gap = scan
         return {"designs": len(res.subsets), "queries": res.phase1_queries}
+    return run
+
+
+def start_design(d, s, k, eps):
+    """The start of phase 1's designs over DESIGN_SEEDS, stack by stack."""
+    import numpy as np
+
+    from sparsebandit import design, random_sparse_instance
+    from sparsebandit.param_elim import subsets_of_size
+
+    subsets = subsets_of_size(d, s)
+    stacks = []
+    for seed in DESIGN_SEEDS:
+        phi = random_sparse_instance(d, s, k, eps, seed).features.matrix
+        for lo in range(0, len(subsets), design.SUBSET_CHUNK):
+            blocks = design.subset_blocks(phi, subsets[lo:lo + design.SUBSET_CHUNK])
+            stacks.append(np.ascontiguousarray(blocks.transpose(0, 2, 1)))
+
+    def run():
+        pivoted, solved = design._start_rows, design._leverages
+        fallback = solves = 0
+
+        def counted_rows(red):
+            nonlocal fallback
+            fallback += 1
+            return pivoted(red)
+
+        def counted_solve(rows, g_mat):
+            nonlocal solves
+            solves += len(rows)
+            return solved(rows, g_mat)
+
+        design._start_rows, design._leverages = counted_rows, counted_solve
+        try:
+            at_target = sum(int((design._lockstep(red_t)[4] == 0).sum())
+                            for red_t in stacks)
+        finally:
+            design._start_rows, design._leverages = pivoted, solved
+        designs = sum(len(red_t) for red_t in stacks)
+        return {"designs": designs, "at_target": at_target,
+                "start_certified": designs - fallback, "start_fallback": fallback,
+                "target_certified": designs - solves, "target_solved": solves}
     return run
 
 
@@ -278,6 +332,7 @@ def one_shot(algorithm):
 
 
 PREPARE = {"design-elim phase 1": phase_one,
+           "start design": start_design,
            "design-elim run": design_run,
            "compressed stage": compressed_stage,
            "collect_representatives": collect,

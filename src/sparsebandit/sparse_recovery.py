@@ -205,7 +205,7 @@ def run_general_features(instance: BanditInstance, ledger: QueryLedger, *,
                                   C_const=C_const, row_indices=reps.source_rows)
     psi_h = cmap.apply(reps.matrix)
     # recovery targets need uniform accuracy on every representative row;
-    # only the round-1 estimate's design spans the full set (later rounds
+    # only the round-0 estimate's design spans the full set (later rounds
     # fit the survivors alone)
     targets = psi_h @ elim.theta_first
     rec = sparse_linf_recover(reps.matrix, targets, s)

@@ -26,8 +26,10 @@ from sparsebandit.design import (
     subset_blocks,
     weighted_estimate,
 )
+from sparsebandit.design_elim import run_design_elimination
 from sparsebandit.errors import ConvergenceError, ValidationError
 from sparsebandit.param_elim import subsets_of_size
+from sparsebandit.sparse_recovery import collect_representatives
 
 
 def subset_estimate(instance, index_set, ledger):
@@ -203,6 +205,7 @@ def test_designs_match_the_scipy_qr_setup_bitwise(monkeypatch):
     monkeypatch.setattr(design_mod, "_keeps_every_column",
                         lambda stack: np.zeros(len(stack), dtype=bool))
     monkeypatch.setattr(design_mod, "_retained_columns", retained_columns_qr_oracle)
+    monkeypatch.setattr(design_mod, "_certified_start_rows", clears_nothing)
     monkeypatch.setattr(design_mod, "_start_rows", start_rows_qr_oracle)
     for block, design in zip(blocks, got):
         want = frank_wolfe_design(block)
@@ -262,6 +265,253 @@ def test_rank_certificate_never_clears_a_block_the_qr_trims():
     stack = np.stack([block for block in sweep if len(block) == 500])
     assert design_mod._keeps_every_column(stack).tolist() == [
         keeps_every_column(block) for block in stack]
+
+
+def clears_nothing(red_t):
+    """A start-row certificate that sends every block to _start_rows."""
+    n, r, k = red_t.shape
+    return np.zeros((n, min(r, k)), dtype=np.intp), np.zeros(n, dtype=bool)
+
+
+def certified_starts(blocks):
+    """_certified_start_rows of a stack of same-shape blocks."""
+    red_t = np.ascontiguousarray(np.stack(blocks).transpose(0, 2, 1))
+    return design_mod._certified_start_rows(red_t)
+
+
+def by_shape(blocks):
+    groups: dict = {}
+    for block in blocks:
+        groups.setdefault(block.shape, []).append(block)
+    return list(groups.values())
+
+
+def near_tie_blocks():
+    """Same-shape groups of blocks whose largest rows, or largest residuals
+    after a pick, are equal or within a few ulps, r from 1 to 4; numpy's
+    norms and dgeqp3's order such rows differently about as often as not."""
+    rng = np.random.default_rng(31)
+    groups = {}
+
+    def add(name, block):
+        groups.setdefault(name, []).append(np.asarray(block, dtype=np.float64))
+
+    def ulps(v, n):
+        return v * (1.0 + n * 2.0 ** -52)
+
+    for _ in range(60):
+        for r in (2, 3, 4):
+            # two rows of one norm, give or take two ulps, over small rows
+            x = rng.normal(size=r)
+            x /= np.linalg.norm(x)
+            y = rng.normal(size=r)
+            y = ulps(y / np.linalg.norm(y), rng.integers(-2, 3))
+            add(f"norms {r}", np.vstack([rng.normal(size=(3, r)) * 0.1, x, y]))
+            # equal squares from different coordinates
+            add(f"permuted {r}", np.vstack([x, np.roll(x, 1), rng.normal(size=(2, r)) * 0.1]))
+        # a pick, then two residuals of one size, give or take two ulps
+        p0 = np.array([1.5, rng.uniform(-0.3, 0.3)])
+        n0 = p0 / np.linalg.norm(p0)
+        perp = np.array([-n0[1], n0[0]])
+        h, a, b = rng.uniform(0.05, 0.5), *rng.uniform(-0.5, 0.5, size=2)
+        add("residuals 2", np.vstack([a * n0 + h * perp, p0,
+                                      b * n0 - ulps(h, rng.integers(-2, 3)) * perp]))
+        p0 = np.array([1.5, *rng.uniform(-0.3, 0.3, size=2)])
+        q, _ = np.linalg.qr(np.column_stack([p0, rng.normal(size=(3, 2))]))
+        x = rng.uniform(-0.5, 0.5) * q[:, 0] + 0.4 * q[:, 1]
+        y = rng.uniform(-0.5, 0.5) * q[:, 0] + ulps(0.4, rng.integers(-2, 3)) * q[:, 2]
+        add("residuals 3", np.vstack([x, y, p0, 0.02 * rng.normal(size=3)]))
+        # one column: every row has one entry, so every tie is exact
+        v = rng.uniform(0.5, 1.0)
+        add("one column", [[0.3 * v], [-v], [v], [ulps(v, rng.integers(-1, 2))]])
+        # probes scaled by a power of two and by other factors
+        scale = rng.choice([0.125, 3.0, 1e-5 * rng.uniform(1, 2)])
+        probes = np.vstack([np.eye(2), -np.eye(2), random_rows(rng, 4, 2) * 0.9]) * scale
+        add("scaled probes", probes[rng.permutation(8)])
+        scale = rng.choice([0.5, 3.0])
+        probes = np.vstack([np.eye(3), -np.eye(3), random_rows(rng, 4, 3) * 0.9]) * scale
+        add("scaled probes 3", probes[rng.permutation(10)])
+    # ties dgeqp3 breaks by position after its first swap moved row 0 later
+    for a in (0.5, 0.25, 2.0, 4.0, 0.75, 1.5, -0.5, -0.25, -2.0, -4.0, -0.75, -1.5):
+        add("moved", [[0.0, a], [0.0, -a], [0.0, a / 4], [1.0, 0.0]])
+        add("moved 3", [[0.0, a, 0.0], [0.0, 0.0, a], [1.0, 0.0, 0.0], [0.0, -a, 0.0]])
+    return groups
+
+
+def pivot_cut_blocks():
+    """Blocks of one-entry rows whose second direction has size 10^-13.5 to
+    10^-10.5, about the 1e-12 cut of the pivot count (their QR keeps one
+    column, so no design starts on them)."""
+    rng = np.random.default_rng(37)
+    base = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.5, 0.0], [-1.0, 0.0]])
+    return [(base * [1.0, 10.0 ** rng.uniform(-13.5, -10.5)])[rng.permutation(5)]
+            for _ in range(60)]
+
+
+def test_certified_start_rows_are_the_qr_oracle_rows():
+    """Every block the start certificate clears gets the rows of the
+    pivoted QR, near ties included, and a stack clears each block as it
+    clears it alone. Every benchmark subset block is cleared; inexact near
+    ties are not."""
+    cleared_in = {}
+    groups = near_tie_blocks()
+    for name, blocks in [("benchmark", design_blocks()[:965]),
+                         ("pivot cut", pivot_cut_blocks())] + list(groups.items()):
+        count = 0
+        for same in by_shape(blocks):
+            rows, cleared = certified_starts(same)
+            for block, got, ok in zip(same, rows.tolist(), cleared.tolist()):
+                if ok:
+                    assert got == start_rows_qr_oracle(block).tolist(), (name, block)
+            alone = [certified_starts([block])[1][0] for block in same[:20]]
+            assert cleared[:20].tolist() == alone
+            count += int(cleared.sum())
+        cleared_in[name] = (count, len(blocks))
+    assert cleared_in["benchmark"] == (965, 965)
+    assert cleared_in["one column"] == (60, 60)
+    # for |a| < 1 the second pick of "moved 3" is a * e_2, and the last tie
+    # is exact only when a is a power of two: 0.75 and -0.75 go to the QR
+    assert cleared_in["moved"] == (12, 12) and cleared_in["moved 3"] == (10, 12)
+    for name in ("norms 2", "norms 3", "norms 4", "permuted 2", "permuted 3",
+                 "permuted 4", "residuals 2", "residuals 3"):
+        assert cleared_in[name] == (0, 60), name
+    # exact rows above the cut are cleared, with both pivots
+    assert 10 < cleared_in["pivot cut"][0] < 50
+    # powers of two keep every tie exact; other scales clear no tie after a pick
+    assert 10 < cleared_in["scaled probes"][0] < 50
+    assert 10 < cleared_in["scaled probes 3"][0] < 50
+
+
+def test_uncertified_blocks_take_the_fallback(monkeypatch):
+    """A block the certificate does not clear has its start rows from
+    _start_rows, and every design is bitwise the one the pivoted QR gives."""
+    stacks = [np.stack(same) for blocks in near_tie_blocks().values()
+              for same in by_shape(blocks)]
+    got = [frank_wolfe_designs(stack) for stack in stacks]
+    calls = []
+
+    def recorded(red):
+        calls.append(red.copy())
+        return start_rows_qr_oracle(red)
+
+    monkeypatch.setattr(design_mod, "_start_rows", recorded)
+    fallbacks = 0
+    for stack in stacks:
+        assert len(stack) >= design_mod.CERTIFIED_START_BLOCKS * stack.shape[2]
+        _, cleared = certified_starts(stack)
+        calls.clear()
+        frank_wolfe_designs(stack)
+        assert len(calls) == np.count_nonzero(~cleared)
+        for block, call in zip(stack[~cleared], calls):
+            assert np.array_equal(block, call)
+        fallbacks += len(calls)
+    assert fallbacks > 100
+    monkeypatch.setattr(design_mod, "_certified_start_rows", clears_nothing)
+    for stack, designs in zip(stacks, got):
+        for design, want in zip(designs, frank_wolfe_designs(stack)):
+            assert_same_design(design, want)
+
+
+def near_target_blocks():
+    """Two-column blocks with start rows (1, 0) and b, whose worst row
+    (xi, eta) has a start leverage within 40 ulps of 2r = 4, on either side,
+    over small filler rows. Under the second b the closed form, evaluated
+    with no rounding margin, falls below 4 on some blocks whose solved
+    start g is above it. Returns the blocks and their solved start g."""
+    filler = random_rows(np.random.default_rng(41), 6, 2) * 0.05
+    blocks, start = [], []
+    for b, eta in (((0.9, 0.3), -0.297),
+                   ((0.6957263985013139, 0.7023460287942555), -0.6945289759308939)):
+        def block(xi):
+            return np.vstack([[1.0, 0.0], b, [xi, eta], filler])
+
+        def start_g(xi):
+            rows = block(xi)
+            g_mat = (np.outer(rows[0], rows[0]) + np.outer(rows[1], rows[1])) / 2
+            return float(design_mod._leverages(rows, g_mat).max())
+
+        lo, hi = 0.0, 1.0               # start g below 4 at lo, above at hi
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if start_g(mid) <= 4.0 else (lo, mid)
+        xis = [lo]
+        for _ in range(40):
+            xis = [np.nextafter(xis[0], -1.0)] + xis + [np.nextafter(xis[-1], 1.0)]
+        blocks += [block(xi) for xi in xis]
+        start += [start_g(xi) for xi in xis]
+    return blocks, start
+
+
+def unmargined_start_g(block):
+    """The closed form r ||adj(B^T) x||^2 / det(B)^2 over the rows x of a
+    two-column block with start rows B = block[:2], in plain rounding."""
+    (b00, b01), (b10, b11) = block[:2]
+    c1 = b11 * block[:, 0] - b10 * block[:, 1]
+    c2 = b00 * block[:, 1] - b01 * block[:, 0]
+    return float((2 * (c1 * c1 + c2 * c2) / (b00 * b11 - b01 * b10) ** 2).max())
+
+
+def test_near_target_blocks_are_solved():
+    """A block whose start leverage sits within rounding of 2r is left to
+    the solve, which alone decides whether it steps; certified blocks skip
+    it and read the same g-value on demand."""
+    blocks, start = near_target_blocks()
+    assert min(start) <= 4.0 < max(start) and max(start) - min(start) < 1e-12
+    # blocks that a certificate with no rounding margin would finish unsolved
+    assert any(unmargined_start_g(block) < 4.0 < g0 for block, g0 in zip(blocks, start))
+    rows, cleared = certified_starts(blocks)
+    assert cleared.all() and (rows == [0, 1]).all()
+    red_t = np.ascontiguousarray(np.stack(blocks).transpose(0, 2, 1))
+    assert not design_mod._meets_target_at_start(red_t, rows).any()
+    designs = frank_wolfe_designs(np.stack(blocks))
+    for design, g0 in zip(designs, start):
+        assert design.g_history[0] == g0
+        assert (design.iterations == 0) == (g0 <= 4.0)
+    # the same rows away from the boundary are cleared and read the same g
+    far = [np.vstack([block[:2], 0.5 * block[2:]]) for block in blocks[:8]]
+    red_t = np.ascontiguousarray(np.stack(far).transpose(0, 2, 1))
+    assert design_mod._meets_target_at_start(red_t, rows[:8]).all()
+    fast = frank_wolfe_designs(np.stack(far))
+    for design, block in zip(fast, far):
+        assert design._rows_t is not None and design._rows_t.base is None
+        alone = frank_wolfe_design(block)
+        assert design.iterations == 0
+        assert design.g_value == alone.g_value and design.g_history == alone.g_history
+        assert design._rows_t is None
+
+
+def test_certified_designs_match_the_solved_start(monkeypatch):
+    """Blocks the target certificate clears get bitwise the design of the
+    step-0 solve, near-target blocks too, r from 1 to 4."""
+    blocks, _ = near_target_blocks()
+    rng = np.random.default_rng(43)
+    stacks = [np.stack(blocks)] + [np.stack([random_rows(rng, 12, r) for _ in range(16)])
+                                   for r in (1, 2, 3, 4)]
+    stacks += [np.stack(same) for blocks in near_tie_blocks().values()
+               for same in by_shape(blocks)]
+    got = [frank_wolfe_designs(stack) for stack in stacks]
+    monkeypatch.setattr(design_mod, "_meets_target_at_start",
+                        lambda red_t, start: np.zeros(len(red_t), dtype=bool))
+    for stack, designs in zip(stacks, got):
+        for design, want in zip(designs, frank_wolfe_designs(stack)):
+            assert_same_design(design, want)
+
+
+def test_benchmark_runs_fall_back_nowhere(monkeypatch):
+    """Design elimination at (40, 2, 500) and collect_representatives at
+    d = 8 certify every start: no pivoted QR and no leverage solve."""
+    calls = {"_pivoted_qr": 0, "_leverages": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(design_mod, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(design_mod, name, counted)
+    instance = random_sparse_instance(40, 2, 500, 0.1, 0)
+    run_design_elimination(instance, QueryLedger())
+    instance = random_sparse_instance(8, 2, 40, 0.05, 0)
+    reps = collect_representatives(instance.features, 2)
+    assert len(reps.subsets) == 28
+    assert calls == {"_pivoted_qr": 0, "_leverages": 0}
 
 
 # sha256 over every field of every design of design_blocks(), one BLAS thread,
