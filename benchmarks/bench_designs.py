@@ -18,10 +18,11 @@ scan and the greedy packing of its nets:
   scan stubbed to find no gap, so a run is the C(d, s) designs and
   estimates plus the final error; counts designs and phase 1's queries.
 - ``start design``: the start of every Frank-Wolfe design of phase 1 at
-  (40, 2, 500), epsilon 0.1, seeds 0-2 (the subset stacks of ``SUBSET_CHUNK``
-  blocks, built before the clock starts): ``design._lockstep`` on each
-  stack, which picks the start rows, forms the start design matrices and
-  decides which blocks already meet the target; no block of these steps.
+  (40, 2, 500), epsilon 0.1, seeds 0-2 (the stacks of phase 1's subset
+  walk, ``design.subset_chunks``, built before the clock starts):
+  ``design._lockstep`` on each stack, which picks the start rows, forms
+  the start design matrices and decides which blocks already meet the
+  target; no block of these steps.
   Counts the designs and those at the target at step 0, and records how
   many blocks the start-row and start-target certificates cleared and how
   many took the pivoted QR (``start_fallback``) or the leverage solve
@@ -148,8 +149,7 @@ def start_design(d, s, k, eps):
     stacks = []
     for seed in DESIGN_SEEDS:
         phi = random_sparse_instance(d, s, k, eps, seed).features.matrix
-        for lo in range(0, len(subsets), design.SUBSET_CHUNK):
-            blocks = design.subset_blocks(phi, subsets[lo:lo + design.SUBSET_CHUNK])
+        for _, blocks in design.subset_chunks(phi, subsets):
             stacks.append(np.ascontiguousarray(blocks.transpose(0, 2, 1)))
 
     def run():

@@ -20,7 +20,6 @@ from .compression import (
 from .design import (
     DesignDistribution,
     core_set_bound,
-    design_for_subsets,
     estimate_parameter,
     frank_wolfe_design,
     frank_wolfe_designs,

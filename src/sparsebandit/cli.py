@@ -23,7 +23,7 @@ every real must be finite.
     c            hard-instance regime constant (default 2.0)
     tau          hard-instance slack (default 0.1)
     hard_delta   hard-instance failure budget (default 0.25)
-    budget       query budget for benign elimination (default 50*k)
+    budget       query budget for benign elimination, >= 1 (default 50*k)
     kappa        bound constant for the compressed algorithms (default 10.0)
     pool_size    net pool override for param-elim, >= 1 (default: library
                  default)
@@ -81,7 +81,6 @@ from .model import (
     comma_list,
     finite_real,
     flag,
-    integer,
     load_instance,
     one_of,
     positive_real,
@@ -329,7 +328,7 @@ CONFIG_KEYS = {
     "epsilon": comma_list(positive_real), "k": comma_list(at_least(0)),
     "delta": comma_list(positive_real), "seeds": comma_list(at_least(0)),
     "c_const": positive_real, "c_jl": positive_real, "c": finite_real,
-    "tau": finite_real, "hard_delta": finite_real, "budget": integer,
+    "tau": finite_real, "hard_delta": finite_real, "budget": at_least(1),
     "kappa": positive_real, "pool_size": at_least(1), "seed_net": flag, "measure_time": flag}
 
 

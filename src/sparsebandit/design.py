@@ -11,7 +11,10 @@ Both run on stacks of same-shape blocks, so that numpy's per-call cost is
 paid once per stack rather than once per block: frank_wolfe_designs iterates
 the blocks of one retained rank in lockstep, and weighted_estimate solves
 the systems of one rank in one call. Every design and estimate is bitwise
-the one its block gets alone; frank_wolfe_design is the stack of one.
+the one its block gets alone; frank_wolfe_design is the stack of one. A
+block that retains no column gets the empty design: no support, estimate 0,
+no query. The learners that design every size-s subset stack them with
+subset_chunks.
 
 The set-up of each design is decided on the whole stack where that can be
 certified, and block by block where it cannot: the retained columns
@@ -34,7 +37,7 @@ from .model import BanditInstance, QueryLedger, query
 PIVOT_TOL = 1e-10
 PRUNE_TOL = 1e-10
 MAX_ITER = 10_000
-# size-s subsets per stacked design call: enough blocks to spread numpy's
+# most size-s subsets per stack of subset_chunks: enough to spread numpy's
 # per-call cost, which the stacked start certificates pay once per stack,
 # few enough that a chunk's arrays (about 0.8 MB at k = 500, s = 2) stay
 # below the other transients of a design-elimination run
@@ -92,6 +95,11 @@ class DesignDistribution:
         if self._rows_t is not None:
             self._solve_deferred()
         return self._g_history
+
+
+_EMPTY_DESIGN = DesignDistribution(support=(), design_matrix=np.zeros((0, 0)),
+                                  retained_columns=(), iterations=0,
+                                  _g_value=0.0, _g_history=())
 
 
 # block shape -> (dgeqp3, its own workspace answer for that shape)
@@ -514,7 +522,8 @@ def frank_wolfe_designs(blocks) -> list:
 
     Each block keeps the columns its own pivoted QR retains, and dim is the
     number it keeps; a block whose Gram matrix certifies that the QR keeps
-    every column (_keeps_every_column) skips the QR. Starting uniform on a
+    every column (_keeps_every_column) skips the QR, and one that keeps
+    none gets the empty design. Starting uniform on a
     pivot-selected row subset of size at most min(dim, k), every step
     moves mass toward the worst-leverage row with the closed-form step
     size, halved as needed so the objective never increases, until
@@ -535,13 +544,11 @@ def frank_wolfe_designs(blocks) -> list:
     every = np.arange(blocks.shape[2])
     retained = [every if cleared else _retained_columns(block)
                 for cleared, block in zip(_keeps_every_column(blocks).tolist(), blocks)]
-    if any(cols.size == 0 for cols in retained):
-        raise ValidationError("rows are numerically zero: no columns retained")
     bound = core_set_bound(blocks.shape[2])
     ranks = np.array([cols.size for cols in retained])
     rows_t = blocks.transpose(0, 2, 1)
-    designs = [None] * len(blocks)
-    for r in sorted(set(ranks.tolist())):
+    designs = [_EMPTY_DESIGN] * len(blocks)
+    for r in sorted(set(ranks.tolist()) - {0}):
         members = np.flatnonzero(ranks == r)
         cols = np.array([retained[i] for i in members])
         if members.size == len(blocks) and r == blocks.shape[2]:
@@ -575,11 +582,15 @@ def frank_wolfe_designs(blocks) -> list:
 
 
 def frank_wolfe_design(rows) -> DesignDistribution:
-    """The Frank-Wolfe design of one row block: a stack of one."""
+    """The Frank-Wolfe design of one row block, a stack of one that must
+    retain a column."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise DimensionMismatchError("rows must be a non-empty 2-d array")
-    return frank_wolfe_designs(rows[None])[0]
+    design = frank_wolfe_designs(rows[None])[0]
+    if not design.retained_columns:
+        raise ValidationError("rows are numerically zero: no columns retained")
+    return design
 
 
 def g_value(rows, design: DesignDistribution) -> float:
@@ -636,34 +647,23 @@ def subset_blocks(features_matrix: np.ndarray, index_sets) -> np.ndarray:
     return features_matrix.T[idx].transpose(0, 2, 1)
 
 
-_EMPTY_DESIGN = DesignDistribution(support=(), design_matrix=np.zeros((0, 0)),
-                                  retained_columns=(), iterations=0,
-                                  _g_value=0.0, _g_history=())
-
-
-def design_for_subsets(blocks: np.ndarray) -> list:
-    """Frank-Wolfe designs of a subset_blocks stack, one per restriction.
-
-    A restriction that is numerically zero on every row (no column norm
-    above PIVOT_TOL, so no pivot would be retained) gets the empty design:
-    no support and no retained column, so its estimate is 0 and costs no
-    query.
-    """
-    zero = np.linalg.norm(blocks, axis=1).max(axis=1, initial=0.0) <= PIVOT_TOL
-    live = np.flatnonzero(~zero)
-    designs = [_EMPTY_DESIGN] * len(blocks)
-    if live.size:
-        stack = blocks if live.size == len(blocks) else blocks[live]
-        for i, design in zip(live, frank_wolfe_designs(stack)):
-            designs[i] = design
-    return designs
+def subset_chunks(features_matrix: np.ndarray, subsets):
+    """Contiguous runs of subsets, in order, as (lo, the subset_blocks of
+    the run at lo): as few as SUBSET_CHUNK allows, near-equal in size (the
+    longer first), so none is a short tail. An empty list yields none."""
+    n_runs = -(-len(subsets) // SUBSET_CHUNK)
+    lo = 0
+    for i in range(n_runs):
+        hi = lo + len(subsets) // n_runs + (i < len(subsets) % n_runs)
+        yield lo, subset_blocks(features_matrix, subsets[lo:hi])
+        lo = hi
 
 
 def estimate_parameter(instance: BanditInstance, blocks: np.ndarray, designs,
                        ledger: QueryLedger) -> np.ndarray:
     """Design-weighted estimates of theta restricted to each block's columns.
 
-    blocks is a subset_blocks stack and designs its design_for_subsets.
+    blocks is a subset_blocks stack and designs its frank_wolfe_designs.
     Queries every design's support actions once each, design by design in
     support order, and returns their weighted_estimate, one row per block.
     """

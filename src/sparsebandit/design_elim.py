@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import (
-    SUBSET_CHUNK,
     core_set_bound,
-    design_for_subsets,
     estimate_parameter,
-    subset_blocks,
+    frank_wolfe_designs,
+    subset_chunks,
 )
 from .errors import EmptySurvivorError, GuardExceededError, ValidationError
 from .model import BanditInstance, Event, QueryLedger, query
@@ -98,12 +97,11 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
     estimates: dict = {}
     # designs and estimates run a chunk of subsets at a time; the queries
     # keep their order, subset by subset and each design in support order
-    for lo in range(0, len(subsets), SUBSET_CHUNK):
-        chunk = subsets[lo:lo + SUBSET_CHUNK]
-        blocks = subset_blocks(instance.features.matrix, chunk)
-        thetas = estimate_parameter(instance, blocks, design_for_subsets(blocks), ledger)
-        np.matmul(blocks, thetas[:, :, None], out=preds[lo:lo + len(chunk), :, None])
-        estimates.update(zip(chunk, thetas))
+    for lo, blocks in subset_chunks(instance.features.matrix, subsets):
+        hi = lo + len(blocks)
+        thetas = estimate_parameter(instance, blocks, frank_wolfe_designs(blocks), ledger)
+        np.matmul(blocks, thetas[:, :, None], out=preds[lo:hi, :, None])
+        estimates.update(zip(subsets[lo:hi], thetas))
     phase1_queries = len(ledger)
 
     # each search resumes at the last primary and, while it lives, past its

@@ -307,10 +307,6 @@ def positive_real(key, token):
     return float(token)
 
 
-def integer(key, token):
-    return int(token)
-
-
 def at_least(low):
     def read(key, token):
         if int(token) < low:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .compressed_elim import run_benign_elimination
 from .compression import choose_target_dim, find_certified_map
-from .design import SUBSET_CHUNK, core_set_bound, design_for_subsets, subset_blocks
+from .design import core_set_bound, frank_wolfe_designs, subset_chunks
 from .design_elim import check_subset_guard
 from .errors import ValidationError
 from .model import BanditInstance, FeatureMatrix, QueryLedger
@@ -63,18 +63,18 @@ class GeneralFeaturesResult:
 def collect_representatives(features: FeatureMatrix, s: int) -> RepresentativeSet:
     """z design-support rows per size-s subset, z = ceil(4s loglog(max(s,3)) + 16).
 
+    The subsets are designed a chunk at a time (design.subset_chunks).
     Designs whose support is smaller than z are padded by repeating their
-    heaviest-weight action. A subset that is zero on every row has the empty
-    design and adds no row, so the row count is C(d,s) * z less z per such
-    subset.
+    heaviest-weight action. A subset that retains no column, zero on every
+    row, has the empty design and adds no row, so the row count is
+    C(d,s) * z less z per such subset.
     """
     check_subset_guard(features.d, s)
     z = core_set_bound(s)
     subsets = subsets_of_size(features.d, s)
     rows, sources = [], []
-    for lo in range(0, len(subsets), SUBSET_CHUNK):
-        blocks = subset_blocks(features.matrix, subsets[lo:lo + SUBSET_CHUNK])
-        for design in design_for_subsets(blocks):
+    for _, blocks in subset_chunks(features.matrix, subsets):
+        for design in frank_wolfe_designs(blocks):
             if not design.support:
                 continue
             chosen = [idx for idx, _ in design.support]

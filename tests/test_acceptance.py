@@ -34,9 +34,9 @@ from sparsebandit.compressed_elim import (
 from sparsebandit.compression import choose_target_dim, find_certified_map
 from sparsebandit.design import (
     core_set_bound,
-    design_for_subsets,
     estimate_parameter,
     frank_wolfe_design,
+    frank_wolfe_designs,
     subset_blocks,
 )
 from sparsebandit.design_elim import run_design_elimination
@@ -146,7 +146,7 @@ def test_estimator_certificate_on_true_support():
     for instance, seed in _grid_instances():
         supp = list(instance.theta_star.support)
         blocks = subset_blocks(instance.features.matrix, [supp])
-        theta_hat, = estimate_parameter(instance, blocks, design_for_subsets(blocks),
+        theta_hat, = estimate_parameter(instance, blocks, frank_wolfe_designs(blocks),
                                         QueryLedger())
         preds = instance.features.matrix[:, supp] @ theta_hat
         truth = instance.features.matrix @ instance.theta_star.coords

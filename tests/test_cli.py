@@ -74,6 +74,7 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
 
 @pytest.mark.parametrize("line,message", [("seeds 0,-1", "seeds must be >= 0"),
                                           ("pool_size -5", "pool_size must be >= 1"),
+                                          ("budget 0", "budget must be >= 1"),
                                           ("epsilon -1", "epsilon must be > 0"),
                                           ("delta 0.5,-1", "delta must be > 0"),
                                           ("kappa -1", "kappa must be > 0"),
@@ -141,7 +142,8 @@ def test_epsilon_above_two_is_read_outside_random_sparse(tmp_path):
 
 
 @pytest.mark.parametrize("algorithm,lines,message", [
-    ("benign-elim", "d 4\ns 1\nbudget 0", "query budget must be at least 1"),
+    ("benign-elim", "d 4\ns 1\nbudget 1",
+     "invariant failure: budget 1 cannot cover one design estimate"),
     ("general-features", "d 1\ns 1", "pipeline needs at least two feature dimensions"),
 ])
 def test_learner_refusal_exits_3_before_any_query(tmp_path, capsys, ledger_records,

@@ -18,12 +18,12 @@ from sparsebandit.compression import build_map, choose_target_dim
 from sparsebandit.design import (
     _pivoted_qr,
     core_set_bound,
-    design_for_subsets,
     estimate_parameter,
     frank_wolfe_design,
     frank_wolfe_designs,
     g_value,
     subset_blocks,
+    subset_chunks,
     weighted_estimate,
 )
 from sparsebandit.design_elim import run_design_elimination
@@ -35,7 +35,7 @@ from sparsebandit.sparse_recovery import collect_representatives
 def subset_estimate(instance, index_set, ledger):
     """The design of one index set and its estimate, as stacks of one."""
     blocks = subset_blocks(instance.features.matrix, [index_set])
-    design, = design_for_subsets(blocks)
+    design, = frank_wolfe_designs(blocks)
     return design, estimate_parameter(instance, blocks, [design], ledger)[0]
 
 
@@ -155,8 +155,8 @@ def test_non_finite_rows_rejected(bad):
     with pytest.raises(ValidationError, match="rows must be finite"):
         frank_wolfe_design(rows)
     with pytest.raises(ValidationError, match="rows must be finite"):
-        design_for_subsets(subset_blocks(rows, [[0, 1]]))
-    design_for_subsets(subset_blocks(rows, [[0, 2]]))   # without the bad column: fine
+        frank_wolfe_designs(subset_blocks(rows, [[0, 1]]))
+    frank_wolfe_designs(subset_blocks(rows, [[0, 2]]))   # without the bad column: fine
 
 
 @pytest.mark.parametrize("shape", [(30, 4), (5, 8), (1, 6), (6, 1), (7, 0), (0, 3)])
@@ -499,7 +499,9 @@ def test_certified_designs_match_the_solved_start(monkeypatch):
 
 def test_benchmark_runs_fall_back_nowhere(monkeypatch):
     """Design elimination at (40, 2, 500) and collect_representatives at
-    d = 8 certify every start: no pivoted QR and no leverage solve."""
+    (d, k) = (8, 40), (12, 48) and (14, 56), the general-features runs of
+    the benchmark, certify every start: no pivoted QR and no leverage
+    solve, a last chunk included."""
     calls = {"_pivoted_qr": 0, "_leverages": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(design_mod, name)):
@@ -508,10 +510,27 @@ def test_benchmark_runs_fall_back_nowhere(monkeypatch):
         monkeypatch.setattr(design_mod, name, counted)
     instance = random_sparse_instance(40, 2, 500, 0.1, 0)
     run_design_elimination(instance, QueryLedger())
-    instance = random_sparse_instance(8, 2, 40, 0.05, 0)
-    reps = collect_representatives(instance.features, 2)
-    assert len(reps.subsets) == 28
+    for d, k, n_subsets in ((8, 40, 28), (12, 48, 66), (14, 56, 91)):
+        instance = random_sparse_instance(d, 2, k, 0.05, 0)
+        reps = collect_representatives(instance.features, 2)
+        assert len(reps.subsets) == n_subsets
     assert calls == {"_pivoted_qr": 0, "_leverages": 0}
+
+
+@pytest.mark.parametrize("n,sizes", [(0, []), (1, [1]), (32, [32]), (33, [17, 16]),
+                                     (66, [22, 22, 22]), (780, [32] * 5 + [31] * 20)])
+def test_subset_chunks_cut_near_equal_runs(n, sizes):
+    phi = np.arange(3 * 40.0).reshape(3, 40)
+    subsets = subsets_of_size(40, 2)[:n]
+    chunks = list(subset_chunks(phi, subsets))
+    assert [len(blocks) for _, blocks in chunks] == sizes
+    assert all(size <= design_mod.SUBSET_CHUNK for size in sizes)
+    lo = 0
+    for start, blocks in chunks:
+        assert start == lo
+        assert np.array_equal(blocks, subset_blocks(phi, subsets[lo:lo + len(blocks)]))
+        lo += len(blocks)
+    assert lo == n
 
 
 # sha256 over every field of every design of design_blocks(), one BLAS thread,
@@ -557,7 +576,7 @@ def test_a_stack_matches_its_blocks_run_alone():
     for seed in range(3):       # the benchmark's design-elim instances
         phi = random_sparse_instance(40, 2, 500, 0.1, seed).features.matrix
         blocks = subset_blocks(phi, subsets_of_size(40, 2))
-        designs = design_for_subsets(blocks)
+        designs = frank_wolfe_designs(blocks)
         assert all(design.support for design in designs)
         for block, design in zip(blocks, designs):
             assert_same_design(design, frank_wolfe_design(block))
@@ -579,8 +598,9 @@ def test_a_stack_matches_its_blocks_run_alone_on_two_blas_threads():
 
 
 def test_a_mixed_stack_matches_its_blocks_run_alone():
-    """One stack with two retained ranks, a zero block and blocks that take
-    Frank-Wolfe steps; their estimates match too."""
+    """One stack with two retained ranks, a zero block, which gets the
+    empty design in its place, and blocks that take Frank-Wolfe steps;
+    their estimates match too."""
     rng = np.random.default_rng(10)
     stepping = rng.normal(size=(60, 5))      # as in the iteration-cap test
     stepping /= np.maximum(np.linalg.norm(stepping, axis=1, keepdims=True), 1.0)
@@ -589,12 +609,13 @@ def test_a_mixed_stack_matches_its_blocks_run_alone():
     blocks = np.stack([random_rows(np.random.default_rng(13), 60, 5), stepping,
                        np.zeros((60, 5)), dependent, stepping[::-1],
                        random_rows(np.random.default_rng(14), 60, 5)])
-    designs = design_for_subsets(blocks)
+    designs = frank_wolfe_designs(blocks)
     assert designs[2].support == () and designs[2].retained_columns == ()
+    assert designs[2] is design_mod._EMPTY_DESIGN
     assert len(designs[3].retained_columns) == 4
     assert designs[1].iterations > 0 and designs[4].iterations > 0
     for block, design in zip(blocks, designs):
-        assert_same_design(design, design_for_subsets(block[None])[0])
+        assert_same_design(design, frank_wolfe_designs(block[None])[0])
         if design.support:
             assert_same_design(design, frank_wolfe_design(block))
 
@@ -624,7 +645,7 @@ def test_zero_subset_gets_the_empty_design():
     assert np.array_equal(theta, [0.0])
     assert len(ledger) == 0
     # a subset with one live column keeps its Frank-Wolfe design
-    assert design_for_subsets(subset_blocks(phi, [[0, 1]]))[0].retained_columns == (0,)
+    assert frank_wolfe_designs(subset_blocks(phi, [[0, 1]]))[0].retained_columns == (0,)
 
 
 def test_estimator_exact_recovery_noiseless():
