@@ -102,38 +102,15 @@ _EMPTY_DESIGN = DesignDistribution(support=(), design_matrix=np.zeros((0, 0)),
                                   _g_value=0.0, _g_history=())
 
 
-# block shape -> (dgeqp3, its own workspace answer for that shape)
-_GEQP3: dict = {}
-
-
-def _pivoted_qr(a: np.ndarray):
-    """|diag R| and the 0-based column pivots of the pivoted QR A P = Q R.
-
-    Calls LAPACK dgeqp3 as ``scipy.linalg.qr(a, pivoting=True)`` does, with
-    the workspace its own ``lwork=-1`` query returns, so the bits are the
-    same; it skips the wrapper's finite check and the Q that would be
-    formed and thrown away. A workspace of another size can select another
-    blocking and change bits; dgeqp3's answer depends only on the shape of
-    A, so the query runs once per shape. scipy.linalg is imported there
-    too, so a run that computes no design never loads it.
-    """
-    if a.size == 0:
-        return np.empty(0), np.arange(a.shape[1], dtype=np.int32)
-    call = _GEQP3.get(a.shape)
-    if call is None:
-        from scipy.linalg import get_lapack_funcs
-
-        geqp3, = get_lapack_funcs(("geqp3",))
-        call = _GEQP3[a.shape] = (geqp3, int(geqp3(a, lwork=-1)[3][0]))
-    geqp3, lwork = call
-    qr_a, piv = geqp3(a, lwork=lwork)[:2]
-    return abs(qr_a.diagonal()), piv - 1
-
-
 def _retained_columns(rows: np.ndarray) -> np.ndarray:
-    """Columns to keep so the reduced matrix has full column rank."""
-    diag, piv = _pivoted_qr(rows)
-    keep = piv[: np.count_nonzero(diag > PIVOT_TOL)]
+    """Columns to keep so the reduced matrix has full column rank: the
+    pivots of the pivoted QR whose |r_ii| exceeds PIVOT_TOL, ascending.
+    scipy.linalg is imported here, so a run whose every block is certified
+    never loads it."""
+    from scipy.linalg import qr
+
+    r_fact, piv = qr(rows, mode="r", pivoting=True, check_finite=False)
+    keep = piv[: np.count_nonzero(abs(r_fact.diagonal()) > PIVOT_TOL)]
     keep.sort()
     return keep
 
@@ -197,9 +174,11 @@ def _start_rows(red: np.ndarray) -> np.ndarray:
     """Pivot rows with non-negligible residual, at least one; the QR of the
     r x k transpose has min(r, k) pivots, so there are at most that many.
     They span the reduced columns, so the uniform start has a finite g."""
-    diag, row_piv = _pivoted_qr(red.T)
-    scale = max(diag[0], 1.0) if diag.size else 1.0
-    n_pivots = np.count_nonzero(diag > 1e-12 * scale)
+    from scipy.linalg import qr
+
+    r_fact, row_piv = qr(red.T, mode="r", pivoting=True, check_finite=False)
+    diag = abs(r_fact.diagonal())
+    n_pivots = np.count_nonzero(diag > 1e-12 * max(diag[0], 1.0))
     return row_piv[: max(n_pivots, 1)]
 
 
@@ -419,10 +398,10 @@ def _lockstep(red_t: np.ndarray):
     so every BLAS call sees the operands it would see for one block.
     In a stack of at least CERTIFIED_START_BLOCKS blocks per start pivot,
     the start rows come from _certified_start_rows, or from _start_rows
-    for a block it does not clear, and a block that _meets_target_at_start
-    clears finishes at step 0 with no leverage solve; its g-value is left
-    to the caller (NaN here, its history None). A smaller stack takes
-    _start_rows and the solve for every block.
+    for a block it does not clear, and a block of certified start rows
+    that _meets_target_at_start clears finishes at step 0 with no leverage
+    solve; its g-value is left to the caller (NaN here, its history None).
+    A smaller stack takes _start_rows and the solve for every block.
     Returns the weights (n, k), the design matrices (n, r, r), the g-values
     (n,), the g histories, the iteration counts and which blocks finished
     unsolved.
@@ -440,11 +419,8 @@ def _lockstep(red_t: np.ndarray):
     for i in np.flatnonzero(~known).tolist():
         init = _start_rows(red[i])
         w[i, init] = 1.0 / len(init)
-        if init.size == start.shape[1]:     # all min(r, k) pivots, as certified
-            start[i], known[i] = init, True
     g_mat = _gram(red_t, w)
-    unsolved = (known & _meets_target_at_start(red_t, start) if stacked
-                else np.zeros(n, dtype=bool))
+    unsolved = known & _meets_target_at_start(red_t, start) if stacked else known
     live = np.flatnonzero(~unsolved)
     lev = np.zeros((n, k))
     if live.size:
@@ -518,7 +494,8 @@ def _lockstep(red_t: np.ndarray):
 
 
 def frank_wolfe_designs(blocks) -> list:
-    """Frank-Wolfe designs of a stack (n, k, c) of same-shape row blocks.
+    """Frank-Wolfe designs of a stack (n, k, c) of same-shape row blocks,
+    each of at least one row and one column.
 
     Each block keeps the columns its own pivoted QR retains, and dim is the
     number it keeps; a block whose Gram matrix certifies that the QR keeps
@@ -537,7 +514,7 @@ def frank_wolfe_designs(blocks) -> list:
     ConvergenceError when MAX_ITER steps do not reach a target.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
-    if blocks.ndim != 3 or blocks.shape[1] < 1:
+    if blocks.ndim != 3 or 0 in blocks.shape[1:]:
         raise DimensionMismatchError("blocks must be a stack of non-empty 2-d arrays")
     if not np.isfinite(blocks).all():
         raise ValidationError("rows must be finite")
@@ -585,7 +562,7 @@ def frank_wolfe_design(rows) -> DesignDistribution:
     """The Frank-Wolfe design of one row block, a stack of one that must
     retain a column."""
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 1:
+    if rows.ndim != 2 or rows.size == 0:
         raise DimensionMismatchError("rows must be a non-empty 2-d array")
     design = frank_wolfe_designs(rows[None])[0]
     if not design.retained_columns:

@@ -32,7 +32,10 @@ RIVAL_BLOCK = 32
 
 
 def check_subset_guard(d: int, s: int) -> None:
-    """Refuse more than SUBSET_GUARD size-s subsets (also general-features)."""
+    """Refuse an s outside 1..d, and more than SUBSET_GUARD size-s subsets
+    (also general-features)."""
+    if not 1 <= s <= d:
+        raise ValidationError(f"need 1 <= s <= d = {d}, got s = {s}")
     n_subsets = math.comb(d, s)
     if n_subsets > SUBSET_GUARD:
         raise GuardExceededError(

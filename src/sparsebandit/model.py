@@ -120,9 +120,6 @@ class QueryLedger:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def record(self, index: int, reward: float) -> None:
-        self.entries.append((int(index), float(reward)))
-
     def noise_rng(self, seed: int):
         if self._rng is None:
             self._rng = np.random.default_rng(seed)
@@ -219,7 +216,7 @@ def query(instance: BanditInstance, index: int, ledger: QueryLedger) -> float:
     if instance.noise.kind == "gaussian":
         rng = ledger.noise_rng(instance.noise.seed)
         reward += instance.noise.scale * float(rng.normal())
-    ledger.record(index, reward)
+    ledger.entries.append((index, reward))
     return reward
 
 

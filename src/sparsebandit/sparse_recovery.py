@@ -154,7 +154,9 @@ def sparse_linf_recover(psi, targets, s: int) -> RecoveryResult:
     """
     psi = np.asarray(psi, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if psi.ndim != 2 or targets.shape != (psi.shape[0],):
+    if psi.ndim != 2:
+        raise ValidationError(f"representative matrix must be 2-d, got {psi.ndim}-d")
+    if targets.shape != (psi.shape[0],):
         raise ValidationError("targets length must match the row count")
     if not np.any(psi):
         raise ValidationError("representative matrix is identically zero")

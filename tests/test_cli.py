@@ -31,13 +31,19 @@ def write_config(tmp_path, text, name="cfg.txt"):
 def ledger_records(monkeypatch):
     """Every action index recorded on any QueryLedger during the test."""
     recorded = []
-    record = QueryLedger.record
 
-    def counting(self, index, reward):
-        recorded.append(index)
-        record(self, index, reward)
+    class Entries(list):
+        def append(self, entry):
+            recorded.append(entry[0])
+            super().append(entry)
 
-    monkeypatch.setattr(QueryLedger, "record", counting)
+    init = QueryLedger.__init__
+
+    def counting(self):
+        init(self)
+        self.entries = Entries()
+
+    monkeypatch.setattr(QueryLedger, "__init__", counting)
     return recorded
 
 

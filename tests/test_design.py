@@ -10,13 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import retained_columns_qr_oracle, start_rows_qr_oracle
-from scipy.linalg import qr
 
 from sparsebandit import QueryLedger, build_instance, random_sparse_instance
 from sparsebandit import design as design_mod
 from sparsebandit.compression import build_map, choose_target_dim
 from sparsebandit.design import (
-    _pivoted_qr,
     core_set_bound,
     estimate_parameter,
     frank_wolfe_design,
@@ -27,7 +25,7 @@ from sparsebandit.design import (
     weighted_estimate,
 )
 from sparsebandit.design_elim import run_design_elimination
-from sparsebandit.errors import ConvergenceError, ValidationError
+from sparsebandit.errors import ConvergenceError, DimensionMismatchError, ValidationError
 from sparsebandit.param_elim import subsets_of_size
 from sparsebandit.sparse_recovery import collect_representatives
 
@@ -148,6 +146,13 @@ def test_zero_rows_rejected():
         frank_wolfe_design(np.zeros((4, 3)))
 
 
+def test_column_less_blocks_rejected():
+    with pytest.raises(DimensionMismatchError, match="non-empty 2-d array"):
+        frank_wolfe_design(np.zeros((4, 0)))
+    with pytest.raises(DimensionMismatchError, match="stack of non-empty 2-d arrays"):
+        frank_wolfe_designs(np.zeros((2, 4, 0)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rows_rejected(bad):
     rows = random_rows(np.random.default_rng(7), 12, 3)
@@ -157,22 +162,6 @@ def test_non_finite_rows_rejected(bad):
     with pytest.raises(ValidationError, match="rows must be finite"):
         frank_wolfe_designs(subset_blocks(rows, [[0, 1]]))
     frank_wolfe_designs(subset_blocks(rows, [[0, 2]]))   # without the bad column: fine
-
-
-@pytest.mark.parametrize("shape", [(30, 4), (5, 8), (1, 6), (6, 1), (7, 0), (0, 3)])
-def test_pivoted_qr_matches_scipy_qr(shape):
-    rng = np.random.default_rng(sum(shape))
-    a = rng.normal(size=shape)
-    if shape == (30, 4):
-        a[:, 3] = a[:, 0] - 2.0 * a[:, 1]          # a dependent column
-    _, r_fact, piv = qr(a, mode="economic", pivoting=True)
-    diag, got_piv = _pivoted_qr(a)
-    assert np.array_equal(diag, np.abs(np.diag(np.atleast_2d(r_fact))))
-    assert np.array_equal(got_piv, piv)
-    diag_t, got_piv_t = _pivoted_qr(a.T)         # the Fortran-ordered view
-    _, r_fact_t, piv_t = qr(a.T, mode="economic", pivoting=True)
-    assert np.array_equal(diag_t, np.abs(np.diag(np.atleast_2d(r_fact_t))))
-    assert np.array_equal(got_piv_t, piv_t)
 
 
 def design_blocks():
@@ -412,6 +401,23 @@ def test_uncertified_blocks_take_the_fallback(monkeypatch):
             assert_same_design(design, want)
 
 
+def solved_start_g(rows):
+    """The step-0 solve's g-value of a block under the uniform design on
+    its first two rows."""
+    g_mat = (np.outer(rows[0], rows[0]) + np.outer(rows[1], rows[1])) / 2
+    return float(design_mod._leverages(rows, g_mat).max())
+
+
+def target_crossing(block):
+    """The largest xi in [0, 1] whose block(xi) has a solved start g of at
+    most 4, by bisection; the start g is below 4 at 0 and above it at 1."""
+    lo, hi = 0.0, 1.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if solved_start_g(block(mid)) <= 4.0 else (lo, mid)
+    return lo
+
+
 def near_target_blocks():
     """Two-column blocks with start rows (1, 0) and b, whose worst row
     (xi, eta) has a start leverage within 40 ulps of 2r = 4, on either side,
@@ -425,21 +431,31 @@ def near_target_blocks():
         def block(xi):
             return np.vstack([[1.0, 0.0], b, [xi, eta], filler])
 
-        def start_g(xi):
-            rows = block(xi)
-            g_mat = (np.outer(rows[0], rows[0]) + np.outer(rows[1], rows[1])) / 2
-            return float(design_mod._leverages(rows, g_mat).max())
-
-        lo, hi = 0.0, 1.0               # start g below 4 at lo, above at hi
-        while np.nextafter(lo, hi) < hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if start_g(mid) <= 4.0 else (lo, mid)
-        xis = [lo]
+        xis = [target_crossing(block)]
         for _ in range(40):
             xis = [np.nextafter(xis[0], -1.0)] + xis + [np.nextafter(xis[-1], 1.0)]
         blocks += [block(xi) for xi in xis]
-        start += [start_g(xi) for xi in xis]
+        start += [solved_start_g(block(xi)) for xi in xis]
     return blocks, start
+
+
+def ill_conditioned_near_target_blocks(k):
+    """1,001 blocks of k two-column rows: start rows (1, 0) and 0.9
+    (sqrt(1 - delta^2), delta), delta = 1e-3, so that det(B)^2 is about
+    2.5e-7 ||B||_F^4 and the step-0 solve's rounding (omega) outweighs the
+    closed form's own (mu); a worst row (xi, -0.8 delta) with xi within
+    1e-6 relative of the start-g crossing of 4; k - 3 filler rows of norm
+    0.01 delta."""
+    delta = 1e-3
+    filler = random_rows(np.random.default_rng(k), k - 3, 2)
+    filler *= 0.01 * delta / np.linalg.norm(filler, axis=1, keepdims=True)
+    b = 0.9 * np.array([math.sqrt(1 - delta ** 2), delta])
+
+    def block(xi):
+        return np.vstack([[1.0, 0.0], b, [xi, -0.8 * delta], filler])
+
+    xi = target_crossing(block)
+    return [block(x) for x in xi * (1 + np.linspace(-1e-6, 1e-6, 1001))]
 
 
 def unmargined_start_g(block):
@@ -478,6 +494,15 @@ def test_near_target_blocks_are_solved():
         assert design.iterations == 0
         assert design.g_value == alone.g_value and design.g_history == alone.g_history
         assert design._rows_t is None
+    # ill-conditioned starts straddling the target: none is cleared
+    for k in (103, 501):
+        blocks = ill_conditioned_near_target_blocks(k)
+        start = [solved_start_g(block) for block in blocks]
+        assert min(start) <= 4.0 < max(start)
+        rows, cleared = certified_starts(blocks)
+        assert cleared.all() and (rows == [0, 1]).all()
+        red_t = np.ascontiguousarray(np.stack(blocks).transpose(0, 2, 1))
+        assert not design_mod._meets_target_at_start(red_t, rows).any()
 
 
 def test_certified_designs_match_the_solved_start(monkeypatch):
@@ -500,9 +525,9 @@ def test_certified_designs_match_the_solved_start(monkeypatch):
 def test_benchmark_runs_fall_back_nowhere(monkeypatch):
     """Design elimination at (40, 2, 500) and collect_representatives at
     (d, k) = (8, 40), (12, 48) and (14, 56), the general-features runs of
-    the benchmark, certify every start: no pivoted QR and no leverage
+    the benchmark, certify every set-up: no pivoted QR and no leverage
     solve, a last chunk included."""
-    calls = {"_pivoted_qr": 0, "_leverages": 0}
+    calls = {"_retained_columns": 0, "_start_rows": 0, "_leverages": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(design_mod, name)):
             calls[_name] += 1
@@ -514,7 +539,7 @@ def test_benchmark_runs_fall_back_nowhere(monkeypatch):
         instance = random_sparse_instance(d, 2, k, 0.05, 0)
         reps = collect_representatives(instance.features, 2)
         assert len(reps.subsets) == n_subsets
-    assert calls == {"_pivoted_qr": 0, "_leverages": 0}
+    assert calls == {"_retained_columns": 0, "_start_rows": 0, "_leverages": 0}
 
 
 @pytest.mark.parametrize("n,sizes", [(0, []), (1, [1]), (32, [32]), (33, [17, 16]),

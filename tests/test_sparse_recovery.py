@@ -7,6 +7,7 @@ import pytest
 from helpers import minimax_residual_oracle, sparse_minimax_oracle
 
 from sparsebandit import (
+    FeatureMatrix,
     QueryLedger,
     build_instance,
     random_sparse_instance,
@@ -80,6 +81,35 @@ def test_recover_rejects_degenerate_input():
         sparse_linf_recover(np.zeros((5, 4)), np.zeros(5), 2)
     with pytest.raises(GuardExceededError):
         sparse_linf_recover(np.ones((4, 60)), np.ones(4), 5)
+
+
+@pytest.fixture
+def nothing_solved(monkeypatch):
+    """Fails the test on any least-squares bound, design or LP."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the input was refused")
+    for name in ("_support_bounds", "frank_wolfe_designs", "linprog"):
+        monkeypatch.setattr(sparse_recovery, name, refuse)
+
+
+@pytest.mark.parametrize("s", [-1, 0, 3])
+def test_sparsity_outside_one_to_d_is_refused(s, nothing_solved):
+    psi = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(ValidationError, match=rf"need 1 <= s <= d = 2, got s = {s}"):
+        sparse_linf_recover(psi, np.ones(3), s)
+    with pytest.raises(ValidationError, match=rf"need 1 <= s <= d = 2, got s = {s}"):
+        collect_representatives(FeatureMatrix(psi / np.linalg.norm(psi, axis=1)[:, None]), s)
+
+
+def test_collect_refuses_s_above_d(nothing_solved):
+    with pytest.raises(ValidationError, match=r"need 1 <= s <= d = 3, got s = 4"):
+        collect_representatives(FeatureMatrix(np.eye(3)), 4)
+
+
+@pytest.mark.parametrize("psi", [np.ones(3), np.ones((3, 2, 1))])
+def test_recover_refuses_a_representative_matrix_that_is_not_2d(psi, nothing_solved):
+    with pytest.raises(ValidationError, match=rf"must be 2-d, got {psi.ndim}-d"):
+        sparse_linf_recover(psi, np.ones(3), 1)
 
 
 def test_exchange_oracle_agrees_with_lp_on_single_support():
