@@ -230,13 +230,16 @@ def _certified_start_rows(red_t: np.ndarray):
     which sqrt recovers |y| (Boldo, "Stupid is as stupid does: taking the
     square root of the square of a floating-point number", 2015), so equal
     squares are equal norms and the argmax takes the first of them by row
-    index. Rows only ever move to later positions, so that is the first by
-    position too, unless the pick itself has moved; then the first by
-    position is taken explicitly. Such rows may tie the pick; any other
-    row within the margin leaves the block uncleared. Rows whose square
-    underflows never come near a pick that passes the pivot count, and an
-    overflow makes the margin NaN. The signed basis probes of the
-    benchmark instances tie this way.
+    index. dgeqp3's swap at step t moves the row at position t to a later
+    one, so at step t the rows it has moved are the non-pivots of index
+    below t. A pick of index below t has moved, and its block is not
+    cleared. Any other pick is at its own position: a moved row tying it
+    would have come first by index, and every other tie has a later index
+    and position, so the pick is the first by position too. Such rows may
+    tie the pick; any other row within the margin leaves the block
+    uncleared. Rows whose square underflows never come near a pick that
+    passes the pivot count, and an overflow makes the margin NaN. The
+    signed basis probes of the benchmark instances tie this way.
 
     Pivot count. dgeqp3's |r_tt| is the computed norm of the pivot's
     residual, within the same margin, so a block is cleared only when every
@@ -252,11 +255,6 @@ def _certified_start_rows(red_t: np.ndarray):
     a2_max = a2.max(axis=1)
     sq = a2.copy()                      # squared residuals; a pivot's set to 0
     inexact = np.count_nonzero(red_t, axis=1) > 1
-    # only rows 0..m-1 ever sit in positions 0..m-1 without being picked,
-    # so only they can be moved to a later position: their positions, and
-    # the row at each of the first m positions
-    lead = np.tile(np.arange(m), (n, 1))
-    front = lead.copy()
     rows = np.zeros((n, m), dtype=np.intp)
     cleared = np.ones(n, dtype=bool)
     exact_so_far = np.ones(n, dtype=bool)   # every pivot so far a swap pivot
@@ -274,18 +272,6 @@ def _certified_start_rows(red_t: np.ndarray):
                                  gamma + gamma * frob / (sigma - gamma * frob), np.inf)
         e = 2 * drift * (2 + drift)
         piv = sq.argmax(axis=1)             # the first largest by row index
-        spot = piv
-        if t:
-            spot = np.where(piv < m, lead[blocks, np.minimum(piv, m - 1)], piv)
-            moved = spot != piv
-            if moved.any():
-                # a row dgeqp3 has moved later: the first largest by position
-                b = blocks[moved]
-                at = np.tile(np.arange(k), (b.size, 1))
-                at[:, :m] = lead[b]
-                top = sq[b, piv[b]][:, None]
-                piv[b] = np.where(sq[b] == top, at, k).argmin(axis=1)
-                spot = np.where(piv < m, lead[blocks, np.minimum(piv, m - 1)], piv)
         piv_sq, piv_a2 = sq[blocks, piv], a2[blocks, piv]
         low = piv_sq - e * piv_a2           # <= the exact rho^2 and |r_tt|^2
         if t == 0:
@@ -296,20 +282,12 @@ def _certified_start_rows(red_t: np.ndarray):
         near = sq >= (low - e * a2_max)[:, None]
         near[blocks, piv] = False
         loose = (near & inexact).any(axis=1) | (near.any(axis=1) & ~exact)
-        cleared &= ~loose & (low > 1e-24 * scale2)
+        cleared &= ~loose & (low > 1e-24 * scale2) & (piv >= t)
         if not cleared.any():
             break
         rows[:, t] = piv
         if t + 1 == m:
             break
-        # dgeqp3 swaps the pivot into position t
-        back = front[:, t]
-        ahead = spot < m
-        front[blocks[ahead], spot[ahead]] = back[ahead]
-        lead[blocks, back] = spot
-        front[:, t] = piv
-        ahead = piv < m
-        lead[blocks[ahead], piv[ahead]] = t
         exact_so_far = exact & (np.frexp(piv_a2)[0] == 0.5)
         rho_prod *= np.sqrt(np.maximum(low, 0.0))
         frob2 += piv_a2 * (1 + 4 * (r + 1) * u)
@@ -382,8 +360,13 @@ def _gram(red_t: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _leverages(rows_red: np.ndarray, g_mat: np.ndarray) -> np.ndarray:
-    """||a||^2 in the inverse design for every row, over any stack axes."""
-    sol = np.linalg.solve(g_mat, np.swapaxes(rows_red, -1, -2))
+    """||a||^2 in the inverse design for every row, over any stack axes; a
+    design matrix singular to working precision raises ValidationError."""
+    try:
+        sol = np.linalg.solve(g_mat, np.swapaxes(rows_red, -1, -2))
+    except np.linalg.LinAlgError:
+        raise ValidationError("design matrix is singular: the retained columns "
+                              "are numerically collinear") from None
     return np.einsum("...ij,...ji->...i", rows_red, sol)
 
 
@@ -574,10 +557,7 @@ def g_value(rows, design: DesignDistribution) -> float:
     """Exact max over all rows of the quadratic form in the inverse design."""
     rows = np.asarray(rows, dtype=np.float64)
     red = rows[:, list(design.retained_columns)]
-    try:
-        return float(_leverages(red, design.design_matrix).max())
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"design matrix is singular: {exc}") from None
+    return float(_leverages(red, design.design_matrix).max())
 
 
 def weighted_estimate(designs, rows, rewards) -> np.ndarray:

@@ -12,6 +12,7 @@ the query count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,10 @@ RIVAL_BLOCK = 32
 
 
 def check_subset_guard(d: int, s: int) -> None:
-    """Refuse an s outside 1..d, and more than SUBSET_GUARD size-s subsets
-    (also general-features)."""
+    """Refuse an s that is not an integer in 1..d, and more than
+    SUBSET_GUARD size-s subsets (also general-features)."""
+    if not isinstance(s, numbers.Integral):
+        raise ValidationError(f"need 1 <= s <= d = {d}, got s = {s}, not an integer")
     if not 1 <= s <= d:
         raise ValidationError(f"need 1 <= s <= d = {d}, got s = {s}")
     n_subsets = math.comb(d, s)

@@ -661,6 +661,30 @@ output {out}
     assert out.read_bytes() == f"{','.join(CSV_COLUMNS)}\r\n{row}\r\n".encode()
 
 
+@pytest.mark.parametrize("seed", [0, 11, 14, 15])
+def test_near_collinear_features_are_an_invariant_failure(tmp_path, capsys, seed):
+    """k 32 rows u (0.8, -0.6) + 1e-9 g, scaled to a largest norm just
+    under 1: the QR keeps both columns, and the uniform start's Gram is
+    singular to working precision. The run exits 3 with no traceback."""
+    rng = np.random.default_rng(seed)
+    u, g = rng.normal(size=32), rng.normal(size=(32, 2))
+    phi = u[:, None] * np.array([0.8, -0.6]) + 1e-9 * g
+    phi *= (1 - 1e-7) / np.linalg.norm(phi, axis=1).max()
+    inst_path, out = tmp_path / "inst.txt", tmp_path / "run.csv"
+    save_instance(build_instance(phi, [0.6, 0.8], np.zeros(32), 0.1), inst_path)
+    path = write_config(tmp_path, f"""
+algorithm design-elim
+source explicit-file
+instance_file {inst_path}
+seeds 0
+output {out}
+""")
+    assert main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "invariant failure: design matrix is singular" in err
+    assert "Traceback" not in err
+
+
 def test_detail_log_output(tmp_path):
     out = tmp_path / "r.csv"
     log = tmp_path / "detail.csv"

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import retained_columns_qr_oracle, start_rows_qr_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebandit import QueryLedger, build_instance, random_sparse_instance
 from sparsebandit import design as design_mod
@@ -25,7 +27,12 @@ from sparsebandit.design import (
     weighted_estimate,
 )
 from sparsebandit.design_elim import run_design_elimination
-from sparsebandit.errors import ConvergenceError, DimensionMismatchError, ValidationError
+from sparsebandit.errors import (
+    ConvergenceError,
+    DimensionMismatchError,
+    SparseBanditError,
+    ValidationError,
+)
 from sparsebandit.param_elim import subsets_of_size
 from sparsebandit.sparse_recovery import collect_representatives
 
@@ -358,9 +365,10 @@ def test_certified_start_rows_are_the_qr_oracle_rows():
         cleared_in[name] = (count, len(blocks))
     assert cleared_in["benchmark"] == (965, 965)
     assert cleared_in["one column"] == (60, 60)
-    # for |a| < 1 the second pick of "moved 3" is a * e_2, and the last tie
-    # is exact only when a is a power of two: 0.75 and -0.75 go to the QR
-    assert cleared_in["moved"] == (12, 12) and cleared_in["moved 3"] == (10, 12)
+    # for |a| < 1 the first pick is the row (1, 0, ...), which dgeqp3 swaps
+    # with row 0; row 0 then ties the second pick and comes first by index,
+    # so that pick has moved and the block goes to the QR
+    assert cleared_in["moved"] == (6, 12) and cleared_in["moved 3"] == (6, 12)
     for name in ("norms 2", "norms 3", "norms 4", "permuted 2", "permuted 3",
                  "permuted 4", "residuals 2", "residuals 3"):
         assert cleared_in[name] == (0, 60), name
@@ -526,7 +534,9 @@ def test_benchmark_runs_fall_back_nowhere(monkeypatch):
     """Design elimination at (40, 2, 500) and collect_representatives at
     (d, k) = (8, 40), (12, 48) and (14, 56), the general-features runs of
     the benchmark, certify every set-up: no pivoted QR and no leverage
-    solve, a last chunk included."""
+    solve, a last chunk included. Design elimination at (16, 3, 300),
+    seeds 0-2, takes no pivoted QR either; its r = 3 starts, which the
+    start-target certificate does not decide, take the leverage solve."""
     calls = {"_retained_columns": 0, "_start_rows": 0, "_leverages": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(design_mod, name)):
@@ -540,6 +550,10 @@ def test_benchmark_runs_fall_back_nowhere(monkeypatch):
         reps = collect_representatives(instance.features, 2)
         assert len(reps.subsets) == n_subsets
     assert calls == {"_retained_columns": 0, "_start_rows": 0, "_leverages": 0}
+    for seed in range(3):
+        run_design_elimination(random_sparse_instance(16, 3, 300, 0.1, seed), QueryLedger())
+    assert calls["_retained_columns"] == calls["_start_rows"] == 0
+    assert calls["_leverages"] > 0
 
 
 @pytest.mark.parametrize("n,sizes", [(0, []), (1, [1]), (32, [32]), (33, [17, 16]),
@@ -658,6 +672,59 @@ def test_a_mixed_stack_matches_its_blocks_run_alone():
         size = len(design.support)
         alone = weighted_estimate([design], rows[i:i + 1, :size], rewards[i:i + 1, :size])
         assert np.array_equal(stacked[i], alone[0])
+
+
+STACK_KINDS = ("gaussian", "integers", "signs", "duplicated rows", "powers of two",
+               "near rank one", "sparse")
+
+
+def random_stack(kind, n, k, c, rng):
+    """A stack (n, k, c) of one kind of block."""
+    shape = (n, k, c)
+    if kind == "integers":          # exact ties among rows and residuals
+        return (rng.integers(-2, 3, size=shape) * (rng.random(shape) < 0.5)).astype(float)
+    if kind == "signs":             # signed basis rows of norm 1/4 to 1, among small rows
+        stack = np.eye(c)[rng.integers(c, size=(n, k))] * rng.choice([-1.0, 1.0], (n, k, 1))
+        stack *= 2.0 ** -rng.integers(0, 3, size=(n, k, 1))
+        small = rng.random((n, k)) < 0.3
+        stack[small] = 0.1 * rng.normal(size=(small.sum(), c))
+        return stack
+    if kind == "duplicated rows":
+        base = rng.normal(size=(n, max(1, k // 3), c))
+        return base[:, rng.integers(base.shape[1], size=k)]
+    if kind == "powers of two":     # rows scaled by 2^-20 to 2^20
+        return rng.normal(size=shape) * 2.0 ** rng.integers(-20, 21, size=(n, k, 1))
+    if kind == "near rank one":
+        rank_one = rng.normal(size=(n, k, 1)) * rng.normal(size=(n, 1, c))
+        return rank_one + 10.0 ** -rng.uniform(6, 12) * rng.normal(size=shape)
+    if kind == "sparse":
+        return rng.normal(size=shape) * (rng.random(shape) < 0.25)
+    return rng.normal(size=shape)
+
+
+# 25 draws of seven stacks of up to 19 blocks; a stack and its blocks run
+# alone take well under 0.1 s, so the deadline only stops a lost run
+@settings(derandomize=True, database=None, max_examples=25, deadline=5000)
+@given(c=st.integers(1, 4), k=st.integers(1, 24), extra=st.integers(0, 3),
+       zero=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_random_stacks_match_their_blocks_run_alone(c, k, extra, zero, seed):
+    """Stacks of every kind, of at least CERTIFIED_START_BLOCKS blocks per
+    column, so that each retained rank takes the stacked certificates, give
+    each block bitwise the design of its run alone, which takes the QR and
+    the solve; a stack that raises, raises a typed error."""
+    rng = np.random.default_rng(seed)
+    for kind in STACK_KINDS:
+        stack = random_stack(kind, design_mod.CERTIFIED_START_BLOCKS * c + extra, k, c, rng)
+        if zero:
+            stack[rng.integers(len(stack))] = 0.0
+        try:
+            designs = frank_wolfe_designs(stack)
+        except SparseBanditError:
+            continue
+        for block, design in zip(stack, designs):
+            if not block.any():
+                assert design is design_mod._EMPTY_DESIGN
+            assert_same_design(design, frank_wolfe_designs(block[None])[0])
 
 
 def test_zero_subset_gets_the_empty_design():

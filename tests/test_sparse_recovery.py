@@ -92,7 +92,7 @@ def nothing_solved(monkeypatch):
         monkeypatch.setattr(sparse_recovery, name, refuse)
 
 
-@pytest.mark.parametrize("s", [-1, 0, 3])
+@pytest.mark.parametrize("s", [-1, 0, 3, 1.5, 2.0])
 def test_sparsity_outside_one_to_d_is_refused(s, nothing_solved):
     psi = np.arange(6.0).reshape(3, 2)
     with pytest.raises(ValidationError, match=rf"need 1 <= s <= d = 2, got s = {s}"):
