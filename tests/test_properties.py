@@ -1,8 +1,10 @@
-"""Property-based checks of the two text inputs: configs and instance files.
+"""Property-based checks of the two text inputs, configs and instance files,
+and of every learner on degenerate explicit-file features.
 
-Every example is tiny (k <= 16). Huge integers go only to keys that allocate
-nothing (seeds, budget, pool_size); d, s and k take values that the reader
-refuses before anything is built, so no example asks numpy for a huge array.
+Every example is tiny (k <= 16), the recipe of a near-collinear crash
+aside. Huge integers go only to keys that allocate nothing (seeds, budget,
+pool_size); d, s and k take values that the reader refuses before anything
+is built, so no example asks numpy for a huge array.
 """
 
 import contextlib
@@ -14,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsebandit import NoiseModel, load_instance, random_sparse_instance, save_instance
+from sparsebandit import (NoiseModel, build_instance, load_instance, random_sparse_instance,
+                          save_instance)
 from sparsebandit.cli import ALGORITHMS, main
 from sparsebandit.errors import ValidationError
 
@@ -124,3 +127,71 @@ def test_save_load_save_is_byte_identical(d, data):
         path = Path(tmp) / "inst.txt"
         path.write_text(text)
         assert saved_text(load_instance(path)) == text
+
+
+DEGENERATE_KINDS = ("near-collinear", "duplicated-rows", "zero-column", "tiny-rows",
+                    "power-of-two")
+
+
+def near_collinear_recipe(seed):
+    """k 32, d = s = 2: rows u (0.8, -0.6) + 1e-9 g, scaled to a largest norm
+    just under 1, theta* = (0.6, 0.8), nu = 0, epsilon 0.1; design-elim
+    exits 3 on it at seeds 0, 11, 14 and 15."""
+    rng = np.random.default_rng(seed)
+    u, g = rng.normal(size=32), rng.normal(size=(32, 2))
+    phi = u[:, None] * np.array([0.8, -0.6]) + 1e-9 * g
+    phi *= (1 - 1e-7) / np.linalg.norm(phi, axis=1).max()
+    return build_instance(phi, [0.6, 0.8], np.zeros(32), 0.1)
+
+
+@st.composite
+def degenerate_instances(draw):
+    """d <= 4, s <= 3, k <= 16 and epsilon >= 0.5, so that param-elim's
+    pools stay small and its nets within the triple guard; a Gaussian matrix
+    made degenerate one way, then scaled by a power of two to a largest row
+    norm in (1/2, 1]."""
+    kind = draw(st.sampled_from(DEGENERATE_KINDS))
+    d = draw(st.integers(2, 4))
+    s = draw(st.integers(1, min(d, 3)))
+    k = draw(st.integers(2, 16))
+    epsilon = draw(st.sampled_from((0.5, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    phi = rng.normal(size=(k, d))
+    if kind == "near-collinear":
+        phi[:, 1] = -0.75 * phi[:, 0] + 1e-9 * rng.normal(size=k)
+    elif kind == "duplicated-rows":
+        phi = phi[rng.integers(0, (k + 1) // 2, size=k)]
+    elif kind == "zero-column":
+        phi[:, rng.integers(d)] = 0.0
+    elif kind == "tiny-rows":
+        phi[rng.random(k) < 0.5] *= 1e-12
+    else:
+        phi *= 2.0 ** rng.integers(-40, 1, size=(k, 1))
+    phi /= 2.0 ** np.ceil(np.log2(np.linalg.norm(phi, axis=1).max()))
+    theta = np.zeros(d)
+    theta[rng.choice(d, size=s, replace=False)] = rng.normal(size=s)
+    theta /= np.linalg.norm(theta)
+    return build_instance(phi, theta, epsilon * rng.uniform(-1, 1, size=k), epsilon)
+
+
+@settings(PROPERTY, max_examples=60, deadline=None)
+@given(instance=degenerate_instances())
+@example(instance=near_collinear_recipe(0))
+def test_every_learner_on_degenerate_features_exits_cleanly(instance):
+    """Every algorithm, run through the CLI on an explicit-file instance with
+    near-collinear columns, duplicated rows, a zero column, tiny rows or
+    power-of-two row scales, exits 0, or 3 with an invariant failure; no run
+    ends in a traceback. No deadline: one example runs every learner."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, out = Path(tmp) / "inst.txt", Path(tmp) / "run.csv"
+        save_instance(instance, inst_path)
+        for algorithm in ALGORITHMS:
+            cfg = Path(tmp) / "cfg.txt"
+            cfg.write_text(f"algorithm {algorithm}\nsource explicit-file\n"
+                           f"instance_file {inst_path}\nseeds 0\noutput {out}\n")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", str(cfg)])
+            assert code == 0 or (code == 3 and "invariant failure" in stderr.getvalue()), \
+                (algorithm, code, stderr.getvalue())
+            assert "Traceback" not in stderr.getvalue()

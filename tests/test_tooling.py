@@ -1,7 +1,9 @@
-"""The benchmark's trace hooks still name functions of the package, each
-entry point loads only the slice of scipy it calls, and the config grammar's
+"""The benchmark's trace hooks still name functions of the package, the
+benchmark script reaches the package only through public names, each entry
+point loads only the slice of scipy it calls, and the config grammar's
 documentation matches the reader's table."""
 
+import ast
 import importlib.util
 import json
 import re
@@ -15,6 +17,7 @@ from sparsebandit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+BENCH = ROOT / "benchmarks" / "bench.py"
 SRC = ROOT / "src"
 
 
@@ -32,6 +35,24 @@ def test_benchmark_hook_targets_resolve(monkeypatch):
     for hook in spans.HOOKS:
         _, _, target = spans._resolve(hook.target)
         assert callable(target), hook.target
+
+
+def test_benchmark_script_uses_only_public_names():
+    """benchmarks/bench.py imports no name and reads no attribute that begins
+    with a single underscore, so no private helper of the package keeps its
+    name for the script's sake; and the script parses its options."""
+    names = []
+    for node in ast.walk(ast.parse(BENCH.read_text())):
+        if isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) and node.module else []
+            for dotted in modules + [alias.name for alias in node.names]:
+                names.extend(dotted.split("."))
+    assert names
+    assert [name for name in names if name.startswith("_") and not name.startswith("__")] == []
+    subprocess.run([sys.executable, str(BENCH), "--help"], capture_output=True,
+                   timeout=60, check=True)
 
 
 # Runs in a fresh interpreter with the checkout's src first on the path and
