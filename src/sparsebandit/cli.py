@@ -24,7 +24,8 @@ every real must be finite.
     tau          hard-instance slack (default 0.1)
     hard_delta   hard-instance failure budget (default 0.25)
     budget       query budget for benign elimination, >= 1 (default 50*k)
-    kappa        bound constant for the compressed algorithms (default 10.0)
+    kappa        bound constant for the compressed algorithms (default 10.0,
+                 uncalibrated: a looser check than the acceptance suite's)
     pool_size    net pool override for param-elim, >= 1 (default: library
                  default)
     seed_net     1 to plant the true restriction in the net when it is a
@@ -41,14 +42,17 @@ failure that names the line.
 
 CSV columns, fixed order: algorithm, d, s, epsilon, k, seed, queries,
 uniform_error, suboptimality, bound, bound_satisfied, wall_ms. Exit codes:
-0 success, 1 config error, 2 guard violation, 3 invariant failure.
+0 success, 1 config error or a path that cannot be opened, 2 guard
+violation, 3 invariant failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -86,6 +90,7 @@ from .model import (
     positive_real,
     random_sparse_instance,
     read_key_values,
+    read_lines,
     save_instance,
     text,
     uniform_error,
@@ -116,7 +121,9 @@ class ExperimentConfig:
     tau: float = 0.1
     hard_delta: float = 0.25
     budget: int | None = None
-    kappa: float = 10.0   # frozen by one calibration sweep (tests/test_acceptance.py)
+    # uncalibrated and looser than the acceptance suite's own frozen constants
+    # (KAPPA_COMPRESSED 2.0, KAPPA_PIPELINE 0.5 in tests/test_acceptance.py)
+    kappa: float = 10.0
     pool_size: int | None = None
     seed_net: bool = True
     measure_time: bool = False
@@ -145,12 +152,14 @@ class RunRecord:
 
 def parse_config(path) -> ExperimentConfig:
     """Parse the flat key/value grammar; errors carry 1-based line numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        stripped = ((line_no, raw.strip()) for line_no, raw in enumerate(fh, start=1))
-        values, lines = read_key_values(
-            ((line_no, line) for line_no, line in stripped
-             if line and not line.startswith("#")),
-            CONFIG_KEYS, lambda message, line_no: ConfigError(f"{path}:{line_no}: {message}"))
+    def error(message, line_no):
+        return ConfigError(f"{path}:{line_no}: {message}")
+
+    stripped = ((line_no, raw.strip())
+                for line_no, raw in enumerate(read_lines(path, error), start=1))
+    values, lines = read_key_values(
+        ((line_no, line) for line_no, line in stripped
+         if line and not line.startswith("#")), CONFIG_KEYS, error)
     if "algorithm" not in values:
         raise ConfigError(f"{path}: missing required key 'algorithm'")
     cfg = ExperimentConfig(algorithms=values.pop("algorithm"), **values)
@@ -169,18 +178,21 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"{path}:{lines['epsilon']}: bad value for 'epsilon': random-sparse "
             f"needs epsilon <= 2, got {max(cfg.epsilon)}")
+    # refused here, not when the CSV is written after every run
+    for key in ("output", "log_output"):
+        folder = os.path.dirname(values.get(key, "")) or "."
+        if not os.path.isdir(folder):
+            raise error(f"bad value for {key!r}: no directory {folder!r}", lines[key])
     return cfg
 
 
-def _grid(cfg: ExperimentConfig):
-    """Deterministic grid enumeration order: d, s, epsilon, k, delta, seed."""
-    for d in cfg.d:
-        for s in cfg.s:
-            for eps in cfg.epsilon:
-                for k in cfg.k:
-                    for delta in cfg.delta:
-                        for seed in cfg.seeds:
-                            yield d, s, eps, k, delta, seed
+def _grid(cfg: ExperimentConfig, instance=None):
+    """Deterministic grid enumeration order: d, s, epsilon, k, delta, seed.
+    An explicit instance fixes d, s, epsilon and k, so only delta and the
+    seeds vary."""
+    dims = ((cfg.d, cfg.s, cfg.epsilon, cfg.k) if instance is None else
+            ([instance.d], [instance.s], [instance.epsilon], [instance.k]))
+    return itertools.product(*dims, cfg.delta, cfg.seeds)
 
 
 def _hard_instance(cfg, d, s, eps, k, delta, seed):
@@ -221,12 +233,13 @@ def check_guards(cfg: ExperimentConfig):
     order (net only for param-elim), and (algorithm, point, message). No
     query is issued here; the prepared grid stays in memory for the run. An
     explicit instance file is loaded and validated once and shared by every
-    point; no learner modifies its instance.
+    point, each of which carries the instance's d, s, epsilon and k; no
+    learner modifies its instance.
     """
     prepared, violations = [], []
     shared = load_instance(cfg.instance_file) if cfg.source == "explicit-file" else None
     for alg in cfg.algorithms:
-        for point in _grid(cfg):
+        for point in _grid(cfg, shared):
             net = None
             try:
                 instance = (shared if shared is not None
@@ -467,6 +480,9 @@ def main(argv=None) -> int:
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except (GuardExceededError, OverflowGuardError) as exc:
         print(f"guard violation: {exc}", file=sys.stderr)

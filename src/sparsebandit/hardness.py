@@ -39,7 +39,7 @@ from .model import (
 
 K_SATURATION = 10 ** 9
 MAX_RETRIES = 100   # seeds tried before RetriesExhaustedError
-PAIRWISE_TOL = 1e-12   # rounding slack on a computed pairwise inner product
+PAIRWISE_TOL = 1e-12   # rounding slack on a computed inner product or squared norm
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def sample_raw_matrix(spec: HardMatrixSpec, seed: int | None = None) -> np.ndarr
 @dataclass(frozen=True)
 class RejectionReport:
     seed: int
-    norm_failures: int       # rows with | ||a||^2 - 1 | > tau
+    norm_failures: int       # rows with | ||a||^2 - 1 | > tau + PAIRWISE_TOL
     sparsity_failures: int   # rows with ||a||_0 > s + tau
     pairwise_failures: int   # normalized pairs with |<a_i, a_j>| > epsilon
 
@@ -134,6 +134,9 @@ def normalize_and_validate(raw: np.ndarray, spec: HardMatrixSpec,
     Checks are deterministic and exhaustive: sparsity and squared-norm slack
     on the raw rows (integer sparsity with tau < 1 forces at most s nonzeros
     after normalization), pairwise inner products on the normalized rows.
+    The norm and pairwise levels both allow PAIRWISE_TOL of rounding, so at
+    tau 0 a row of s entries +-1/sqrt(s) passes even where its computed
+    squared norm is not exactly 1.
     """
     raw = np.asarray(raw, dtype=np.float64)
     norms_sq = np.einsum("ij,ij->i", raw, raw)
@@ -141,7 +144,7 @@ def normalize_and_validate(raw: np.ndarray, spec: HardMatrixSpec,
         raise ValidationError("raw matrix contains a zero row")
     nnz = np.count_nonzero(raw, axis=1)
     sparsity_failures = int(np.sum(nnz > spec.s + spec.tau))
-    norm_failures = int(np.sum(np.abs(norms_sq - 1.0) > spec.tau))
+    norm_failures = int(np.sum(np.abs(norms_sq - 1.0) > spec.tau + PAIRWISE_TOL))
     normalized = raw / np.sqrt(norms_sq)[:, None]
     gram = normalized @ normalized.T
     iu = np.triu_indices(raw.shape[0], k=1)

@@ -336,6 +336,19 @@ def comma_list(read):
     return read_list
 
 
+def read_lines(path, error):
+    """The lines of a UTF-8 text file. A byte sequence that is not UTF-8
+    raises error(message, line number); a file that cannot be opened
+    raises OSError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                    data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def read_key_values(lines, table, error):
     """Read numbered `key value` lines against table, which maps each key to
     a value reader: reader(key, token) returns the value or raises ValueError
@@ -403,8 +416,7 @@ class InstanceParseError(ValidationError):
 
 def load_instance(path) -> BanditInstance:
     """Parse an instance file; errors carry 1-based line numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    raw = read_lines(path, InstanceParseError)
     if not raw or raw[0].strip() != _MAGIC:
         raise InstanceParseError(f"expected header {_MAGIC!r}", 1)
 

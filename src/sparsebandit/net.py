@@ -154,6 +154,8 @@ class CoveringNet:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 2 or pts.shape[1] != self.s:
             raise ValidationError("net points must be (m, s)")
+        if not np.isfinite(pts).all():
+            raise ValidationError("net points must be finite")
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > NORM_TOL):
             raise NormBoundError("net points must be unit vectors")

@@ -321,7 +321,7 @@ output {out}
     assert not out.exists()
 
 
-def test_guard_uses_the_explicit_file_dimensions(tmp_path, ledger_records):
+def test_guard_uses_the_explicit_file_dimensions(tmp_path, capsys, ledger_records):
     inst_path = tmp_path / "inst.txt"
     save_instance(random_sparse_instance(30, 5, 64, 0.1, seed=0), inst_path)
     out = tmp_path / "ef.csv"
@@ -335,6 +335,7 @@ output {out}
     assert main(["sweep", str(path)]) == 2
     assert ledger_records == []
     assert not out.exists()
+    assert "design-elim (30, 5, 0.1, 64, 0.5, 0): " in capsys.readouterr().err
 
 
 def test_param_elim_net_past_the_guard_is_refused_before_it_is_packed(
@@ -506,6 +507,63 @@ def test_validate_subcommand(tmp_path, capsys):
     assert main(["validate", str(trunc)]) == 3
 
 
+def _unopenable(tmp_path, case):
+    """(argv, what stderr must name) for one path the CLI cannot open."""
+    missing = tmp_path / "missing"
+    out = f"output {tmp_path / 'o.csv'}\n"
+    base = "algorithm design-elim\nd 4\ns 1\nk 12\nseeds 0\n"
+    if case == "missing config":
+        return ["run", str(missing)], str(missing)
+    if case == "config is a directory":
+        return ["run", str(tmp_path)], str(tmp_path)
+    if case == "missing instance_file":
+        cfg = write_config(tmp_path, "algorithm design-elim\nsource explicit-file\n"
+                                     f"instance_file {missing}\nseeds 0\n{out}")
+        return ["run", str(cfg)], str(missing)
+    if case == "validate a missing file":
+        return ["validate", str(missing)], str(missing)
+    if case in ("output", "log_output"):
+        folder = missing / "deeper"
+        cfg = write_config(tmp_path, base + (out if case == "log_output" else "")
+                           + f"{case} {folder / 'x.csv'}\n")
+        return ["run", str(cfg)], str(folder)
+    if case == "generate-hard into a missing directory":
+        cfg = write_config(tmp_path, "algorithm random-baseline\nsource hard-instance\n"
+                                     "d 64\ns 8\nepsilon 0.5\nk 3\ntau 0.95\nseeds 0\n")
+        return ["generate-hard", str(cfg), str(missing / "hard.txt")], str(missing / "hard.txt")
+    if case == "non-UTF-8 config":
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes((base + out).encode() + b"# caf\xe9\n")
+        return ["run", str(cfg)], f"{cfg}:7: not UTF-8"
+    assert case == "non-UTF-8 instance file"
+    inst_path = tmp_path / "inst.txt"
+    save_instance(random_sparse_instance(4, 1, 12, 0.1, seed=9), inst_path)
+    lines = inst_path.read_bytes().split(b"\n")
+    lines[3] += b" \xff"
+    inst_path.write_bytes(b"\n".join(lines))
+    return ["validate", str(inst_path)], "invariant failure: line 4: not UTF-8"
+
+
+@pytest.mark.parametrize("case,code", [
+    ("missing config", 1), ("config is a directory", 1), ("missing instance_file", 1),
+    ("validate a missing file", 1), ("output", 1), ("log_output", 1),
+    ("generate-hard into a missing directory", 1), ("non-UTF-8 config", 1),
+    ("non-UTF-8 instance file", 3)])
+def test_a_path_that_cannot_be_opened_ends_in_one_line(tmp_path, capsys, ledger_records,
+                                                       case, code):
+    """Each exits 1 with one stderr line naming the path and the reason and
+    before any query, except a non-UTF-8 instance file, which is malformed
+    and so an invariant failure, like its other parse errors."""
+    argv, named = _unopenable(tmp_path, case)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert named in err
+    assert "Traceback" not in err
+    assert ledger_records == []
+
+
 @pytest.mark.parametrize("key,value", [("epsilon", "inf"), ("noise_scale", "nan"),
                                        ("orthogonality", "nan"), ("nu", "nan")])
 def test_non_finite_instance_value_is_refused_with_its_line(tmp_path, capsys,
@@ -602,6 +660,27 @@ output {out}
     record = dict(zip(CSV_COLUMNS, out.read_text().strip().splitlines()[1].split(",")))
     assert record["d"] == "4" and record["k"] == "12"
     assert record["bound_satisfied"] == "true"
+
+
+def test_explicit_file_runs_once_per_delta_and_seed(tmp_path):
+    """The instance fixes d, s, epsilon and k, so the config's lists of them
+    multiply no runs."""
+    inst_path = tmp_path / "inst.txt"
+    save_instance(random_sparse_instance(4, 1, 12, 0.1, seed=9), inst_path)
+    out = tmp_path / "file.csv"
+    path = write_config(tmp_path, f"""
+algorithm design-elim
+source explicit-file
+instance_file {inst_path}
+d 4,5,6
+epsilon 0.1,0.2
+seeds 0
+output {out}
+""")
+    assert main(["run", str(path)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[:6] for row in rows] == [
+        ["design-elim", "4", "1", "0.10000000000000001", "12", "0"]]
 
 
 # Three degenerate explicit-file instances: a duplicated column (the

@@ -85,6 +85,17 @@ def test_validated_at_default_k_threshold(d, s, epsilon, tau):
     assert np.all(np.count_nonzero(features.matrix, axis=1) == s)
 
 
+@pytest.mark.parametrize("s", [2, 3])
+def test_tau_zero_certifies_where_rounding_moves_the_norm(s):
+    """At s 2 and 3 the squared norm of s entries +-1/sqrt(s) is not exactly
+    1 in floating point; at tau 0 the norm check allows rounding slack, and
+    at epsilon 2 no pair can fail, so the first draw certifies."""
+    spec = HardMatrixSpec(d=16, s=s, epsilon=2.0, tau=0.0, delta=0.25, seed=0, k=8)
+    report = normalize_and_validate(sample_raw_matrix(spec), spec).report
+    assert (report.norm_failures, report.sparsity_failures, report.pairwise_failures) == (0, 0, 0)
+    assert generate_validated(spec)[1] == 1
+
+
 def test_rejection_report_counts(monkeypatch):
     spec = HardMatrixSpec(d=64, s=8, epsilon=1e-6, tau=1e-9, delta=0.25,
                           seed=1, k=4)

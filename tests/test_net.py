@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sparsebandit import build_separated_net, include_point
+from sparsebandit import CoveringNet, build_separated_net, include_point
 from sparsebandit.errors import GuardExceededError, NormBoundError, ValidationError
 from sparsebandit.net import greedy_pack, sphere_pool
 
@@ -113,6 +113,15 @@ def test_include_point_arbitrary_keeps_separation():
         out = include_point(net, v)
         assert pairwise_min_dist(out.points) >= net.separation
         assert any(np.array_equal(p, v) for p in out.points)
+
+
+def test_non_finite_points_are_refused():
+    """A NaN point passes no norm test; the net refuses it, and so the net
+    include_point would return with every point evicted."""
+    with pytest.raises(ValidationError, match="must be finite"):
+        CoveringNet(points=[[np.nan, 1.0]], separation=0.25, s=2, candidate_pool_size=1)
+    with pytest.raises(ValidationError, match="must be finite"):
+        include_point(build_separated_net(2, 0.5, 0), [np.nan, np.nan])
 
 
 def test_include_point_rejects_non_unit():

@@ -1,7 +1,8 @@
 """The benchmark's trace hooks still name functions of the package, the
-benchmark script reaches the package only through public names, each entry
-point loads only the slice of scipy it calls, and the config grammar's
-documentation matches the reader's table."""
+benchmark script reaches the package only through public names, the test
+oracles import nothing from it, each entry point loads only the slice of
+scipy it calls, and the config grammar's documentation matches the reader's
+table."""
 
 import ast
 import importlib.util
@@ -18,6 +19,7 @@ from sparsebandit import cli
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 BENCH = ROOT / "benchmarks" / "bench.py"
+HELPERS = ROOT / "tests" / "helpers.py"
 SRC = ROOT / "src"
 
 
@@ -53,6 +55,19 @@ def test_benchmark_script_uses_only_public_names():
     assert [name for name in names if name.startswith("_") and not name.startswith("__")] == []
     subprocess.run([sys.executable, str(BENCH), "--help"], capture_output=True,
                    timeout=60, check=True)
+
+
+def test_test_oracles_import_nothing_from_the_package():
+    """tests/helpers.py holds the independent references the tests check the
+    package against, so it imports nothing from sparsebandit."""
+    modules = []
+    for node in ast.walk(ast.parse(HELPERS.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+        elif isinstance(node, ast.Import):
+            modules.extend(alias.name for alias in node.names)
+    assert modules
+    assert [name for name in modules if name.split(".")[0] == "sparsebandit"] == []
 
 
 # Runs in a fresh interpreter with the checkout's src first on the path and
