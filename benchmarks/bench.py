@@ -1,52 +1,51 @@
-"""Benchmark of a checkout: perfbench, tier-1, greedy packing and one-shot runs.
+"""Paired benchmark of a change against its parent: perfbench, tier-1,
+greedy packing and one-shot runs.
 
-Usage (from the root of a checkout):
+Usage (from the root of the change's checkout):
 
-    python3 benchmarks/bench.py --label <name> --out <file.json>
-                                [--src <src dir>] [--runs N]
+    git archive <parent> | tar -x -C <dir>
+    python3 benchmarks/bench.py --parent <dir> --out <file.json> [--runs N]
 
-The checkout measured is the one that holds ``--src`` (default: this
-checkout's ``src``), so a checkout of another commit can be measured into the
-same file. One label records:
+The change is the checkout that holds this script. Every measurement is one
+fresh process in one side's checkout, with that side's ``src``, and runs in
+pairs: one run of the parent and one of the change, the parent first in even
+pairs and the change first in odd ones, so the two runs of a pair are taken
+minutes apart and the host's drift falls on both sides alike.
 
-- ``perfbench``: the command, workloads and run length of this checkout's
-  ``BENCHMARK.json``, run in the measured checkout. Each workload gets
-  untraced runs at seeds 1..N (default 10) and one traced run at seed 0.
-  Every run's metrics, ``correct`` and failed runs are recorded, and the
-  median, quartiles and best of each end-to-end metric over the untraced
-  runs. The metrics are perfbench's own; this script times nothing here.
-- ``tier-1``: ROADMAP.md's tier-1 command with ``--durations=5``, run in the
-  measured checkout. Records pytest's wall time, its pass, fail, skip and
-  error counts and the five slowest tests.
-- ``greedy packing``: ``greedy_pack`` of a ``sphere_pool(s, pool, 0)`` drawn
-  before the clock starts, at separations from 0.3 down to 0.0014 and pools
-  of 11,755 to 10**6 points (the first two are the pools of the
-  ``param-scan`` benchmark at s = 2 and 3); counts the accepted points. One
-  untimed call first, then N timed ones.
-- ``one-shot <algorithm>``: N runs of ``sparsebandit run`` of one grid point
-  in a fresh interpreter, timed from spawning the process to its exit, so the
-  imports count: param-elim at (d, s, k, epsilon) = (6, 3, 16, 0.6),
-  design-elim at (40, 2, 500, 0.1) and general-features at
-  (8, 2, 40, 0.05), seed 0; counts the CSV's queries and records the scipy
-  subpackages the run loaded.
+- ``perfbench <workload>``: the command, workloads and run length of this
+  checkout's ``BENCHMARK.json``, run in each side's checkout; N pairs of
+  untraced runs at seeds 1..N and one pair of traced runs at seed 0. Each
+  run's metrics and perfbench's ``env`` line (source digest, numpy, scipy and
+  BLAS threads) are recorded. The metrics are perfbench's own; this script
+  times nothing here.
+- ``tier-1``: ROADMAP.md's tier-1 command with ``--durations=5``; two pairs,
+  so parent, change, change, parent. Records pytest's wall time, its pass,
+  fail, skip and error counts and the five slowest tests.
+- ``greedy packing``: ``greedy_pack`` of a ``sphere_pool(s, pool, 0)``, at
+  separations from 0.3 down to 0.0014 and pools of 11,755 to 10**6 points
+  (the first two are the pools of the ``param-scan`` benchmark at s = 2 and
+  3). The pool is drawn and one call made before the clock starts; one call
+  is timed. Counts the accepted points.
+- ``one-shot <algorithm>``: ``sparsebandit run`` of one grid point, timed
+  from spawning the process to its exit, so the imports count: param-elim at
+  (d, s, k, epsilon) = (6, 3, 16, 0.6), design-elim at (40, 2, 500, 0.1) and
+  general-features at (8, 2, 40, 0.05), seed 0. Counts the CSV's queries and
+  records, without comparing them, the scipy subpackages the run loaded.
 
-Greedy packing and the one-shots record the best, the median and the spread
-(max - min) of their wall times. The results are stored under ``--label``
-with a digest of the package sources; the other labels already in the file
-are kept. The label is not recorded if a count of packing or a one-shot
-differs from another label's, or if a perfbench run is not ``correct``, has a
-failed run or reads other ``queries`` at some seed than another label. BLAS
-runs on one thread unless the environment sets it.
+For every numeric metric the file holds each side's runs, median and
+quartiles and the number of pairs in which the change read lower; any other
+value is recorded run by run. Nothing is written, and the script exits
+non-zero, if a perfbench run is not ``correct`` or has a failed run, or if
+the two runs of a pair read different ``queries`` or ``accepted`` counts.
+BLAS runs on one thread unless the environment sets it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
-import platform
 import re
 import statistics
 import subprocess
@@ -55,37 +54,31 @@ import tempfile
 import time
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 ROOT = Path(__file__).resolve().parent.parent
-# ROADMAP.md's tier-1 command, less its PYTHONPATH, which run_tier1 sets
+# ROADMAP.md's tier-1 command, less its PYTHONPATH, which tier1 sets
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=5")
-
-# (workload, parameters)
-WORKLOADS = (*(("greedy packing", {"s": s, "pool": pool, "sep": sep})
-               for s, pool, sep in ((2, 11_755, 0.3), (3, 90_125, 0.3),
-                                    (2, 10 ** 6, 0.025), (2, 200_000, 0.005),
-                                    (2, 10 ** 6, 0.0014), (3, 10 ** 6, 0.06),
-                                    (6, 200_000, 0.3))),
-             ("one-shot param-elim", {"d": 6, "s": 3, "k": 16, "epsilon": 0.6}),
-             ("one-shot design-elim", {"d": 40, "s": 2, "k": 500, "epsilon": 0.1}),
-             ("one-shot general-features", {"d": 8, "s": 2, "k": 40, "epsilon": 0.05}))
-# counts every label must agree on
+# counts the two runs of a pair must agree on
 COUNTS = ("queries", "accepted")
+# the fields of perfbench's env line that are recorded; its paths are not
+ENV = ("src_sha256", "python", "numpy", "scipy", "blas_threads", "nproc")
+PACKINGS = ((2, 11_755, 0.3), (3, 90_125, 0.3), (2, 10 ** 6, 0.025), (2, 200_000, 0.005),
+            (2, 10 ** 6, 0.0014), (3, 10 ** 6, 0.06), (6, 200_000, 0.3))
+ONE_SHOTS = (("param-elim", 6, 3, 16, 0.6), ("design-elim", 40, 2, 500, 0.1),
+             ("general-features", 8, 2, 40, 0.05))
 
-
-def packing(s, pool, sep):
-    """One greedy packing of a seeded sphere pool, after an untimed one."""
-    from sparsebandit.net import greedy_pack, sphere_pool
-
-    points = sphere_pool(s, pool, 0)
-
-    def run():
-        return {"accepted": len(greedy_pack(points, sep))}
-    run()
-    return run
-
+# argv: src directory, s, pool size, separation; prints the accepted count
+# and the seconds of one timed call as JSON
+PACK = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from sparsebandit.net import greedy_pack, sphere_pool
+s, pool, sep = int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+points = sphere_pool(s, pool, 0)
+greedy_pack(points, sep)
+t0 = time.perf_counter()
+accepted = len(greedy_pack(points, sep))
+print(json.dumps({"wall_s": time.perf_counter() - t0, "accepted": accepted}))
+"""
 
 # what the ``sparsebandit`` console script runs, with argv[1] (the package's
 # src directory) first on the path; prints the public scipy subpackages the
@@ -101,99 +94,24 @@ sys.exit(code)
 """
 
 
-def one_shot(algorithm, src):
-    """One ``sparsebandit run`` of ``algorithm`` at a grid point, in a fresh
-    process; BLAS threads are inherited from this one."""
-    def prepare(d, s, k, epsilon):
-        def run():
-            with tempfile.TemporaryDirectory() as tmp:
-                cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "run.csv"
-                cfg.write_text(f"algorithm {algorithm}\nd {d}\ns {s}\n"
-                               f"epsilon {epsilon}\nk {k}\nseeds 0\noutput {out}\n")
-                proc = subprocess.run([sys.executable, "-c", ONE_SHOT, str(src), str(cfg)],
-                                      capture_output=True, text=True, check=True)
-                with open(out, newline="") as fh:
-                    queries = int(next(csv.DictReader(fh))["queries"])
-            return {"queries": queries, "scipy": proc.stdout.splitlines()[-1].split()}
-        return run
-    return prepare
+def perfbench(spec, workload, trace):
+    """One run of the benchmark command, at seed 0 when traced and at seed
+    pair + 1 when not; its JSON result is the last line."""
+    def measure(checkout, pair):
+        proc = subprocess.run(
+            [*spec["command"], "--workload", workload, "--seed", str(0 if trace else pair + 1),
+             "--seconds", str(spec["run_seconds"]), "--trace", str(int(trace))],
+            cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+        lines = proc.stdout.splitlines()
+        result = json.loads(lines[-1])
+        env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+        return {"correct": result["correct"], "failed": result["failed"],
+                **{name: m["value"] for name, m in result["metrics"].items()},
+                "env": {key: env[key] for key in ENV}}
+    return measure
 
 
-def measure(name, params, runs, src):
-    prepare = packing if name == "greedy packing" else one_shot(name.split()[-1], src)
-    run = prepare(*params.values())
-    counts, times = None, []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        counts = run()
-        times.append(time.perf_counter() - t0)
-    return {"workload": name, **params, **counts,
-            "best_s": min(times), "median_s": statistics.median(times),
-            "spread_s": max(times) - min(times),
-            "runs_s": [round(t, 6) for t in times]}
-
-
-def perfbench_run(spec, checkout, workload, seed, trace):
-    """One run of the benchmark command; its JSON result is the last line."""
-    proc = subprocess.run(
-        [*spec["command"], "--workload", workload, "--seed", str(seed),
-         "--seconds", str(spec["run_seconds"]), "--trace", str(trace)],
-        cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    return {"seed": seed, "trace": trace, "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
-
-
-def summary(values, better):
-    """Median, quartiles and best of one metric over the untraced runs."""
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"median": median, "q1": q1, "q3": q3,
-            "best": min(values) if better == "lower" else max(values)}
-
-
-def run_perfbench(checkout, runs):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = {}
-    for workload in (w["name"] for w in spec["workloads"]):
-        plain = []
-        for seed in range(1, runs + 1):
-            plain.append(perfbench_run(spec, checkout, workload, seed, 0))
-            print(f"perfbench {workload} seed {seed}: wall_s "
-                  f"{plain[-1]['metrics']['wall_s']:.4f}", file=sys.stderr)
-        workloads[workload] = {
-            "runs": plain,
-            "traced": perfbench_run(spec, checkout, workload, 0, 1),
-            "summary": {m["name"]: summary([r["metrics"][m["name"]] for r in plain],
-                                           m["better"])
-                        for m in spec["end_to_end"]},
-        }
-    return {"command": spec["command"], "run_seconds": spec["run_seconds"],
-            "workloads": workloads}
-
-
-def perfbench_faults(mine, label, labels):
-    """Why a perfbench entry may not be recorded; empty when it may."""
-    faults = []
-    for workload, entry in mine["workloads"].items():
-        for run in entry["runs"] + [entry["traced"]]:
-            if not run["correct"] or run["failed"]:
-                faults.append(f"perfbench {workload} seed {run['seed']} trace {run['trace']}: "
-                              f"correct {run['correct']}, {run['failed']} failed runs")
-        for other, theirs in labels.items():
-            if other == label:
-                continue
-            queries = {run["seed"]: run["metrics"]["queries"]
-                       for run in theirs["perfbench"]["workloads"][workload]["runs"]}
-            for run in entry["runs"]:
-                if run["seed"] in queries and run["metrics"]["queries"] != queries[run["seed"]]:
-                    faults.append(f"perfbench {workload} seed {run['seed']}: queries "
-                                  f"{run['metrics']['queries']} differ from {other}'s "
-                                  f"{queries[run['seed']]}")
-    return faults
-
-
-def run_tier1(checkout):
+def tier1(checkout, pair):
     """The tier-1 suite in ``checkout``, as pytest reports it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
@@ -211,85 +129,106 @@ def run_tier1(checkout):
             **counts, "slowest": slowest}
 
 
-def src_digest(src: Path) -> str:
-    """sha256 over the package's Python sources, to tell checkouts apart."""
-    digest = hashlib.sha256()
-    for path in sorted((src / "sparsebandit").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
+def packing(s, pool, sep):
+    def measure(checkout, pair):
+        proc = subprocess.run([sys.executable, "-c", PACK, str(checkout / "src"),
+                               str(s), str(pool), str(sep)],
+                              stdout=subprocess.PIPE, text=True, check=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+    return measure
 
 
-def where(result):
-    """The workload's parameters, as printed."""
-    keys = ("s", "pool", "sep") if "pool" in result else ("d", "s", "k", "epsilon")
-    return " ".join(f"{key}={result[key]}" for key in keys)
+def one_shot(algorithm, d, s, k, epsilon):
+    def measure(checkout, pair):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "run.csv"
+            cfg.write_text(f"algorithm {algorithm}\nd {d}\ns {s}\n"
+                           f"epsilon {epsilon}\nk {k}\nseeds 0\noutput {out}\n")
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", ONE_SHOT, str(checkout / "src"),
+                                   str(cfg)], capture_output=True, text=True, check=True)
+            wall_s = time.perf_counter() - t0
+            with open(out, newline="") as fh:
+                queries = int(next(csv.DictReader(fh))["queries"])
+        return {"wall_s": wall_s, "queries": queries,
+                "scipy": proc.stdout.splitlines()[-1].split()}
+    return measure
 
 
-def counts_of(result):
-    return {key: result[key] for key in COUNTS if key in result}
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
-def report(label, entry):
-    for r in entry["results"]:
-        counts = "  ".join(f"{key} {r[key]}" for key in COUNTS if key in r)
-        scipy = f"  scipy {' '.join(r['scipy']) or '-'}" if "scipy" in r else ""
-        print(f"{label:>8} {r['workload']:<25} {where(r):<28} best "
-              f"{r['best_s']:.4f} s  median "
-              f"{r['median_s']:.4f} s  spread {r['spread_s']:.4f} s  {counts}{scipy}")
-    tier1 = entry["tier-1"]
-    print(f"{label:>8} tier-1 {tier1['passed']} passed, {tier1['failed']} failed, "
-          f"{tier1['skipped']} skipped, {tier1['errors']} errors in {tier1['wall_s']:.1f} s")
-    for workload, bench in entry["perfbench"]["workloads"].items():
-        for name, s in bench["summary"].items():
-            print(f"{label:>8} perfbench {workload:<10} {name:<12} median {s['median']:.4g} "
-                  f"(q1 {s['q1']:.4g}, q3 {s['q3']:.4g})  best {s['best']:.4g}")
+def paired(name, measure, runs, sides):
+    """``runs`` pairs of ``measure(checkout, pair)``, one run on each of the
+    two ``sides`` (parent, then change, by name to checkout), the parent
+    first in even pairs and the change first in odd ones. Exits at a run
+    that is not ``correct`` or has failed runs, and at a pair whose runs
+    read different counts."""
+    results = {side: [] for side in sides}
+    for pair in range(runs):
+        for side in sides if pair % 2 == 0 else reversed(sides):
+            run = measure(sides[side], pair)
+            if not run.get("correct", True) or run.get("failed", 0):
+                sys.exit(f"{name} pair {pair} {side}: correct {run['correct']}, "
+                         f"{run['failed']} failed runs")
+            results[side].append(run)
+        parent, change = (results[side][-1] for side in sides)
+        for key in COUNTS:
+            if parent.get(key) != change.get(key):
+                sys.exit(f"{name} pair {pair}: {key} {change.get(key)} differ "
+                         f"from the parent's {parent.get(key)}")
+    parent, change = results.values()
+    entry = {}
+    for key, value in parent[0].items():
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            entry[key] = {side: summary([run[key] for run in results[side]]) for side in sides}
+            entry[key]["change_lower"] = sum(c[key] < p[key] for p, c in zip(parent, change))
+        else:
+            entry[key] = {side: [run[key] for run in results[side]] for side in sides}
+    return entry
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="a checkout of the parent commit, e.g. from git archive")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--runs", type=int, default=10)
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    src = args.src.resolve()
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    labels = data.setdefault("labels", {})
-    # perfbench runs while this process is still small: a child's peak RSS
-    # (ru_maxrss) starts at its parent's, so the pools and numpy loaded
-    # below would floor perfbench's peak_rss_mb at this process's peak
-    perfbench = run_perfbench(src.parent, args.runs)
-    faults = perfbench_faults(perfbench, args.label, labels)
-    if faults:
-        print("\n".join(faults), file=sys.stderr)
-        return 1
-    tier1 = run_tier1(src.parent)
-    sys.path.insert(0, str(src))
-    import numpy as np
-
-    results = [measure(*w, args.runs, src) for w in WORKLOADS]
-    for other, entry in labels.items():
-        if other == args.label:
-            continue
-        for mine, theirs in zip(results, entry["results"]):
-            if counts_of(mine) != counts_of(theirs):
-                print(f"{mine['workload']} at {where(mine)}: counts {counts_of(mine)} differ from {other}'s "
-                      f"{counts_of(theirs)}", file=sys.stderr)
-                return 1
-    labels[args.label] = {
-        "src_sha256": src_digest(src),
-        "env": {"python": platform.python_version(), "numpy": np.__version__,
-                "cpus": os.cpu_count(),
-                "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-                "runs": args.runs},
-        "results": results,
-        "tier-1": tier1,
-        "perfbench": perfbench,
-    }
-    args.out.write_text(json.dumps(data, indent=2) + "\n")
-    report(args.label, labels[args.label])
+    if not (args.parent / "src" / "sparsebandit").is_dir():
+        parser.error(f"--parent: no package sources at {args.parent / 'src' / 'sparsebandit'}")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    jobs = [(f"perfbench {w['name']}{' traced' * trace}", perfbench(spec, w["name"], trace),
+             1 if trace else args.runs)
+            for w in spec["workloads"] for trace in (False, True)]
+    jobs += [("tier-1", tier1, 2)]
+    jobs += [(f"greedy packing s={s} pool={pool} sep={sep}", packing(s, pool, sep), args.runs)
+             for s, pool, sep in PACKINGS]
+    jobs += [(f"one-shot {alg} d={d} s={s} k={k} epsilon={eps}", one_shot(alg, d, s, k, eps),
+              args.runs) for alg, d, s, k, eps in ONE_SHOTS]
+    results = {}
+    for name, measure, runs in jobs:
+        results[name] = paired(name, measure, runs, sides)
+        print(f"{name}: done", file=sys.stderr)
+    args.out.write_text(json.dumps({
+        "runs": args.runs, "command": spec["command"], "run_seconds": spec["run_seconds"],
+        "results": results}, indent=2) + "\n")
+    # the file holds every metric; the report shows BENCHMARK.json's end-to-end ones
+    shown = {m["name"] for m in spec["end_to_end"]}
+    for name, entry in results.items():
+        for key, m in entry.items():
+            if key in shown:
+                p, c = m["parent"], m["change"]
+                print(f"{name:<52} {key:<12} {p['median']:.4g} ({p['q1']:.4g}, {p['q3']:.4g}) "
+                      f"-> {c['median']:.4g} ({c['q1']:.4g}, {c['q3']:.4g})  change lower in "
+                      f"{m['change_lower']}/{len(p['runs'])}")
     return 0
 
 

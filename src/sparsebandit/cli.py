@@ -20,9 +20,9 @@ every real must be finite.
     seeds        list of seeds, each >= 0
     c_const      threshold constant for benign elimination (default 2.0)
     c_jl         compression dimension constant (default 8.0)
-    c            hard-instance regime constant (default 2.0)
-    tau          hard-instance slack (default 0.1)
-    hard_delta   hard-instance failure budget (default 0.25)
+    c            hard-instance regime constant, > 1 (default 2.0)
+    tau          hard-instance slack, in [0, 1) (default 0.1)
+    hard_delta   hard-instance failure budget, in (0, 1) (default 0.25)
     budget       query budget for benign elimination, >= 1 (default 50*k)
     kappa        bound constant for the compressed algorithms (default 10.0,
                  uncalibrated: a looser check than the acceptance suite's)
@@ -83,7 +83,6 @@ from .model import (
     _fmt,
     at_least,
     comma_list,
-    finite_real,
     flag,
     load_instance,
     one_of,
@@ -91,6 +90,7 @@ from .model import (
     random_sparse_instance,
     read_key_values,
     read_lines,
+    real_in,
     save_instance,
     text,
     uniform_error,
@@ -180,7 +180,10 @@ def parse_config(path) -> ExperimentConfig:
             f"needs epsilon <= 2, got {max(cfg.epsilon)}")
     # refused here, not when the CSV is written after every run
     for key in ("output", "log_output"):
-        folder = os.path.dirname(values.get(key, "")) or "."
+        path = values.get(key, "")
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise error(f"bad value for {key!r}: {path!r} is a directory", lines[key])
         if not os.path.isdir(folder):
             raise error(f"bad value for {key!r}: no directory {folder!r}", lines[key])
     return cfg
@@ -340,8 +343,8 @@ CONFIG_KEYS = {
     "d": comma_list(at_least(1)), "s": comma_list(at_least(1)),
     "epsilon": comma_list(positive_real), "k": comma_list(at_least(0)),
     "delta": comma_list(positive_real), "seeds": comma_list(at_least(0)),
-    "c_const": positive_real, "c_jl": positive_real, "c": finite_real,
-    "tau": finite_real, "hard_delta": finite_real, "budget": at_least(1),
+    "c_const": positive_real, "c_jl": positive_real, "c": real_in(1),
+    "tau": real_in(0, 1, with_low=True), "hard_delta": real_in(0, 1), "budget": at_least(1),
     "kappa": positive_real, "pool_size": at_least(1), "seed_net": flag, "measure_time": flag}
 
 

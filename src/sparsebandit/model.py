@@ -304,6 +304,18 @@ def positive_real(key, token):
     return float(token)
 
 
+def real_in(low, high=math.inf, *, with_low=False):
+    """Reader of a finite real in (low, high), or in [low, high) with_low."""
+    def read(key, token):
+        value = finite_real(key, token)
+        above = low <= value if with_low else low < value
+        if not (above and value < high):
+            raise ValueError(f"{key} must lie in {'[' if with_low else '('}{low}, "
+                             f"{high}), got {token}")
+        return value
+    return read
+
+
 def at_least(low):
     def read(key, token):
         if int(token) < low:

@@ -158,6 +158,9 @@ def sparse_linf_recover(psi, targets, s: int) -> RecoveryResult:
         raise ValidationError(f"representative matrix must be 2-d, got {psi.ndim}-d")
     if targets.shape != (psi.shape[0],):
         raise ValidationError("targets length must match the row count")
+    for name, values in (("representative matrix", psi), ("targets", targets)):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{name} is not finite")
     if not np.any(psi):
         raise ValidationError("representative matrix is identically zero")
     d = psi.shape[1]

@@ -116,7 +116,15 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
                                           ("tau -inf", "finite real"),
                                           ("hard_delta nan", "finite real"),
                                           ("kappa inf", "finite real"),
-                                          ("kappa 1e400", "finite real")])
+                                          ("kappa 1e400", "finite real"),
+                                          ("tau 1.5", r"tau must lie in \[0, 1\), got 1.5"),
+                                          ("tau -0.1", r"tau must lie in \[0, 1\), got -0.1"),
+                                          ("tau 1", r"tau must lie in \[0, 1\)"),
+                                          ("hard_delta 2",
+                                           r"hard_delta must lie in \(0, 1\), got 2"),
+                                          ("hard_delta 0", r"hard_delta must lie in \(0, 1\)"),
+                                          ("c 0.5", r"c must lie in \(1, inf\), got 0.5"),
+                                          ("c 1", r"c must lie in \(1, inf\)")])
 def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys, line, message):
     """The case's last line is the bad one; a base line setting a key the
     case sets is removed, except where the duplicate is the error."""
@@ -527,6 +535,11 @@ def _unopenable(tmp_path, case):
         cfg = write_config(tmp_path, base + (out if case == "log_output" else "")
                            + f"{case} {folder / 'x.csv'}\n")
         return ["run", str(cfg)], str(folder)
+    if case in ("output is a directory", "log_output is a directory"):
+        key = case.split()[0]
+        cfg = write_config(tmp_path, base + (out if key == "log_output" else "")
+                           + f"{key} {tmp_path}\n")
+        return ["run", str(cfg)], f"{str(tmp_path)!r} is a directory"
     if case == "generate-hard into a missing directory":
         cfg = write_config(tmp_path, "algorithm random-baseline\nsource hard-instance\n"
                                      "d 64\ns 8\nepsilon 0.5\nk 3\ntau 0.95\nseeds 0\n")
@@ -547,6 +560,7 @@ def _unopenable(tmp_path, case):
 @pytest.mark.parametrize("case,code", [
     ("missing config", 1), ("config is a directory", 1), ("missing instance_file", 1),
     ("validate a missing file", 1), ("output", 1), ("log_output", 1),
+    ("output is a directory", 1), ("log_output is a directory", 1),
     ("generate-hard into a missing directory", 1), ("non-UTF-8 config", 1),
     ("non-UTF-8 instance file", 3)])
 def test_a_path_that_cannot_be_opened_ends_in_one_line(tmp_path, capsys, ledger_records,

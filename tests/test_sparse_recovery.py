@@ -112,6 +112,18 @@ def test_recover_refuses_a_representative_matrix_that_is_not_2d(psi, nothing_sol
         sparse_linf_recover(psi, np.ones(3), 1)
 
 
+@pytest.mark.parametrize("where,value,message", [
+    ("psi", np.nan, "representative matrix is not finite"),
+    ("psi", -np.inf, "representative matrix is not finite"),
+    ("targets", np.inf, "targets is not finite"),
+    ("targets", np.nan, "targets is not finite")])
+def test_recover_refuses_non_finite_input(where, value, message, nothing_solved):
+    inputs = {"psi": np.arange(6.0).reshape(3, 2), "targets": np.ones(3)}
+    inputs[where].flat[1] = value
+    with pytest.raises(ValidationError, match=message):
+        sparse_linf_recover(inputs["psi"], inputs["targets"], 1)
+
+
 def test_exchange_oracle_agrees_with_lp_on_single_support():
     rng = np.random.default_rng(5)
     for _ in range(5):

@@ -1,8 +1,8 @@
 """The benchmark's trace hooks still name functions of the package, the
-benchmark script reaches the package only through public names, the test
-oracles import nothing from it, each entry point loads only the slice of
-scipy it calls, and the config grammar's documentation matches the reader's
-table."""
+benchmark script reaches the package only through public names and in fresh
+processes, and pairs its runs; the test oracles import nothing from the
+package, each entry point loads only the slice of scipy it calls, and the
+config grammar's documentation matches the reader's table."""
 
 import ast
 import importlib.util
@@ -57,17 +57,84 @@ def test_benchmark_script_uses_only_public_names():
                    timeout=60, check=True)
 
 
-def test_test_oracles_import_nothing_from_the_package():
-    """tests/helpers.py holds the independent references the tests check the
-    package against, so it imports nothing from sparsebandit."""
+def imported_packages(path):
+    """The top-level package of every module the file at path imports."""
     modules = []
-    for node in ast.walk(ast.parse(HELPERS.read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
             modules.append(node.module or "")
         elif isinstance(node, ast.Import):
             modules.extend(alias.name for alias in node.names)
     assert modules
-    assert [name for name in modules if name.split(".")[0] == "sparsebandit"] == []
+    return {name.split(".")[0] for name in modules}
+
+
+def test_test_oracles_import_nothing_from_the_package():
+    """tests/helpers.py holds the independent references the tests check the
+    package against, so it imports nothing from sparsebandit."""
+    assert "sparsebandit" not in imported_packages(HELPERS)
+
+
+def test_benchmark_script_imports_neither_numpy_nor_the_package():
+    """Each side's package is measured in a fresh process, from the python -c
+    scripts the benchmark holds as strings; a child's peak RSS starts at its
+    parent's, so the script itself stays small."""
+    assert imported_packages(BENCH) & {"numpy", "sparsebandit"} == set()
+
+
+def load_bench(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_benchmark_pairs_alternate_which_side_runs_first(monkeypatch):
+    """Pair 0 runs the parent first, pair 1 the change; each metric keeps
+    each side's runs and counts the pairs the change read lower."""
+    bench = load_bench(monkeypatch)
+    calls = []
+
+    def measure(checkout, pair):
+        calls.append((checkout, pair))
+        return {"wall_s": {"P": 2.0, "C": 1.5}[checkout] + pair,
+                "queries": 7, "scipy": [checkout]}
+
+    entry = bench.paired("stub", measure, 3, {"parent": "P", "change": "C"})
+    assert calls == [("P", 0), ("C", 0), ("C", 1), ("P", 1), ("P", 2), ("C", 2)]
+    assert entry["wall_s"]["parent"]["runs"] == [2.0, 3.0, 4.0]
+    assert entry["wall_s"]["change"]["median"] == 2.5
+    assert entry["wall_s"]["change_lower"] == 3
+    assert entry["queries"]["change_lower"] == 0
+    assert entry["scipy"] == {"parent": [["P"]] * 3, "change": [["C"]] * 3}
+
+
+@pytest.mark.parametrize("fault,value", [("queries", 6), ("correct", False), ("failed", 1)])
+def test_benchmark_pair_with_a_fault_exits_and_writes_nothing(tmp_path, monkeypatch,
+                                                              fault, value):
+    """A change run that reads other counts than its pair's parent run, is
+    not correct or has a failed run ends the benchmark before any file."""
+    bench = load_bench(monkeypatch)
+    parent = tmp_path / "parent"
+    (parent / "src" / "sparsebandit").mkdir(parents=True)
+
+    def perfbench(spec, workload, trace):
+        def measure(checkout, pair):
+            run = {"correct": True, "failed": 0, "wall_s": 1.0, "queries": 5}
+            if checkout == bench.ROOT and pair == 1:
+                run[fault] = value
+            return run
+        return measure
+
+    monkeypatch.setattr(bench, "perfbench", perfbench)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exited:
+        bench.main(["--parent", str(parent), "--out", str(out), "--runs", "2"])
+    assert exited.value.code not in (0, None)
+    assert fault in str(exited.value.code)
+    assert not out.exists()
 
 
 # Runs in a fresh interpreter with the checkout's src first on the path and
