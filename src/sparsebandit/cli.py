@@ -178,14 +178,18 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"{path}:{lines['epsilon']}: bad value for 'epsilon': random-sparse "
             f"needs epsilon <= 2, got {max(cfg.epsilon)}")
-    # refused here, not when the CSV is written after every run
+    # refused here, not when the CSV is written after every run; a defaulted
+    # key has no line to name
     for key in ("output", "log_output"):
-        path = values.get(key, "")
-        folder = os.path.dirname(path) or "."
-        if os.path.isdir(path):
-            raise error(f"bad value for {key!r}: {path!r} is a directory", lines[key])
+        target = getattr(cfg, key)
+        if target is None:
+            continue
+        where = f"{path}:{lines[key]}" if key in lines else path
+        folder = os.path.dirname(target) or "."
+        if os.path.isdir(target):
+            raise ConfigError(f"{where}: bad value for {key!r}: {target!r} is a directory")
         if not os.path.isdir(folder):
-            raise error(f"bad value for {key!r}: no directory {folder!r}", lines[key])
+            raise ConfigError(f"{where}: bad value for {key!r}: no directory {folder!r}")
     return cfg
 
 

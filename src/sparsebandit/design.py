@@ -11,10 +11,10 @@ Both run on stacks of same-shape blocks, so that numpy's per-call cost is
 paid once per stack rather than once per block: frank_wolfe_designs iterates
 the blocks of one retained rank in lockstep, and weighted_estimate solves
 the systems of one rank in one call. Every design and estimate is bitwise
-the one its block gets alone; frank_wolfe_design is the stack of one. A
-block that retains no column gets the empty design: no support, estimate 0,
-no query. The learners that design every size-s subset stack them with
-subset_chunks.
+the one its block gets alone, but for the g-value of a design the start
+target certifies; frank_wolfe_design is the stack of one. A block that
+retains no column gets the empty design: no support, estimate 0, no query.
+The learners that design every size-s subset stack them with subset_chunks.
 
 The set-up of each design is decided on the whole stack where that can be
 certified, and block by block where it cannot: the retained columns
@@ -27,7 +27,7 @@ step-0 leverage solve).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,45 +61,22 @@ class DesignDistribution:
     The design lives on the columns named by retained_columns: when the input
     rows are column-rank-deficient, columns with pivot below 1e-10 are
     discarded and the design matrix is the SPD Gram over the retained ones.
-
-    A design that _meets_target_at_start finished at step 0 without a
-    leverage solve keeps its own copy of the reduced rows instead of its
-    g-value, and solves the g-value on first read with the one-block call
-    its run alone makes at step 0, so it reads the same bits.
+    g_value is the g the last accepted step solved, or, for a design that
+    _meets_target_at_start finished at step 0, that certificate's bound,
+    which is at least the g the step-0 solve would return and below 2r.
     """
 
     support: tuple              # ((row index, weight), ...) weights > 0
     design_matrix: np.ndarray   # (r, r) over retained columns
     retained_columns: tuple     # ascending indices into the input columns
     iterations: int
-    _g_value: float | None = field(default=None, repr=False, compare=False)
-    _g_history: tuple | None = field(default=None, repr=False, compare=False)
-    _rows_t: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def _solve_deferred(self) -> None:
-        lev = _leverages(self._rows_t[None].transpose(0, 2, 1), self.design_matrix[None])
-        g = lev.max(axis=1).tolist()[0]
-        object.__setattr__(self, "_g_value", g)
-        object.__setattr__(self, "_g_history", (g,))
-        object.__setattr__(self, "_rows_t", None)
-
-    @property
-    def g_value(self) -> float:
-        if self._rows_t is not None:
-            self._solve_deferred()
-        return self._g_value
-
-    @property
-    def g_history(self) -> tuple:
-        """Monotone non-increasing, one entry per accepted step."""
-        if self._rows_t is not None:
-            self._solve_deferred()
-        return self._g_history
+    g_value: float
+    g_history: tuple            # monotone non-increasing, one per accepted step
 
 
 _EMPTY_DESIGN = DesignDistribution(support=(), design_matrix=np.zeros((0, 0)),
                                   retained_columns=(), iterations=0,
-                                  _g_value=0.0, _g_history=())
+                                  g_value=0.0, g_history=())
 
 
 def _retained_columns(rows: np.ndarray) -> np.ndarray:
@@ -302,10 +279,11 @@ def _certified_start_rows(red_t: np.ndarray):
 
 
 def _meets_target_at_start(red_t: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Which blocks of a stack (n, r, k) of transposed blocks, r <= 2,
-    provably have a computed start g-value below 2r under the uniform design
-    on their r start rows start (n, r), decided in closed form with no
-    solve; for r > 2, or fewer start rows than r, none.
+    """A bound below 2r on the computed start g-value of each block of a
+    stack (n, r, k) of transposed blocks, r <= 2, under the uniform design
+    on its r start rows start (n, r), in closed form with no solve; inf for
+    a block it does not certify, and for every block when r > 2 or there
+    are fewer start rows than r.
 
     With B the start rows, the design is G = B^T B / r and a row x has
     leverage r ||B^-T x||^2 = r ||adj(B^T) x||^2 / det(B)^2. Each
@@ -328,11 +306,14 @@ def _meets_target_at_start(red_t: np.ndarray, start: np.ndarray) -> np.ndarray:
     / D^2. omega = 8 (k + r^2 2^r) r u f^r / D^2 bounds the sum while it is
     below 1/4. A block is cleared when L (1 + omega) < 2r (1 - mu): its
     computed g then meets the target at step 0, and since the weights 1/r
-    are exact for r <= 2, the final prune leaves them as they are.
+    are exact for r <= 2, the final prune leaves them as they are. Its
+    bound is the computed L (1 + omega), at least the computed g: omega is
+    more than twice the perturbation it bounds, which leaves room for the
+    product's two roundings.
     """
     n, r, k = red_t.shape
     if r > 2 or start.shape[1] < r:
-        return np.zeros(n, dtype=bool)
+        return np.full(n, np.inf)
     u = np.finfo(np.float64).eps / 2
     mu = 8 * (r + 2) * u
     b = red_t[np.arange(n)[:, None], :, start]          # (n, r, r), row i start i
@@ -350,7 +331,8 @@ def _meets_target_at_start(red_t: np.ndarray, start: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         lev = r * (big_n + mu * big_x * f) / low ** 2
         omega = 8 * (k + r * r * 2 ** r) * r * u * f ** r / low ** 2
-    return (low > 0) & (omega < 0.25) & (lev * (1 + omega) < 2 * r * (1 - mu))
+        bound = lev * (1 + omega)
+    return np.where((low > 0) & (omega < 0.25) & (bound < 2 * r * (1 - mu)), bound, np.inf)
 
 
 def _gram(red_t: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -383,11 +365,10 @@ def _lockstep(red_t: np.ndarray):
     the start rows come from _certified_start_rows, or from _start_rows
     for a block it does not clear, and a block of certified start rows
     that _meets_target_at_start clears finishes at step 0 with no leverage
-    solve; its g-value is left to the caller (NaN here, its history None).
-    A smaller stack takes _start_rows and the solve for every block.
-    Returns the weights (n, k), the design matrices (n, r, r), the g-values
-    (n,), the g histories, the iteration counts and which blocks finished
-    unsolved.
+    solve, its g-value that certificate's bound. A smaller stack takes
+    _start_rows and the solve for every block. Returns the weights (n, k),
+    the design matrices (n, r, r), the g-values (n,), the g histories and
+    the iteration counts.
     """
     n, r, k = red_t.shape
     red = red_t.transpose(0, 2, 1)
@@ -403,13 +384,15 @@ def _lockstep(red_t: np.ndarray):
         init = _start_rows(red[i])
         w[i, init] = 1.0 / len(init)
     g_mat = _gram(red_t, w)
-    unsolved = known & _meets_target_at_start(red_t, start) if stacked else known
-    live = np.flatnonzero(~unsolved)
+    g = np.full(n, np.inf)
+    if stacked:
+        g[known] = _meets_target_at_start(red_t, start)[known]
+    live = np.flatnonzero(g == np.inf)
     lev = np.zeros((n, k))
     if live.size:
         lev[live] = _leverages(red_t[live].transpose(0, 2, 1), g_mat[live])
-    g = np.where(unsolved, np.nan, lev.max(axis=1))
-    history = [None if done else [x] for done, x in zip(unsolved.tolist(), g.tolist())]
+        g[live] = lev[live].max(axis=1)
+    history = [[x] for x in g.tolist()]
     iterations = np.zeros(n, dtype=int)
 
     def accept(idx, sel, w2, g_mat2, lev2, g2):
@@ -444,7 +427,7 @@ def _lockstep(red_t: np.ndarray):
             reached[reached] = done
             live = live[~reached]
         if not live.size:
-            return w, g_mat, g, history, iterations, unsolved
+            return w, g_mat, g, history, iterations
         if step == MAX_ITER:
             raise ConvergenceError(
                 f"iteration cap {MAX_ITER} reached; achieved g_value "
@@ -491,10 +474,11 @@ def frank_wolfe_designs(blocks) -> list:
     start rows are the pivots of the QR of the block's transpose; a block
     whose pivots _certified_start_rows shows skips that QR. A block whose
     start _meets_target_at_start shows to be at the target finishes at
-    step 0 with no leverage solve, and solves its g-value when it is
-    first read. Blocks that keep the same number of columns iterate
-    together; every design is bitwise that of the block run alone. Raises
-    ConvergenceError when MAX_ITER steps do not reach a target.
+    step 0 with no leverage solve, and its g_value is that certificate's
+    bound. Blocks that keep the same number of columns iterate together;
+    every design is bitwise that of the block run alone, but for that
+    bound. Raises ConvergenceError when MAX_ITER steps do not reach a
+    target.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim != 3 or 0 in blocks.shape[1:]:
@@ -515,28 +499,25 @@ def frank_wolfe_designs(blocks) -> list:
             red_t = np.ascontiguousarray(rows_t)        # every column kept
         else:
             red_t = np.ascontiguousarray(rows_t[members[:, None], cols])
-        w, g_mat, g, history, iterations, unsolved = _lockstep(red_t)
+        w, g_mat, g, history, iterations = _lockstep(red_t)
         owner, atoms = np.nonzero(w)            # row-major: block by block
         weights = w[owner, atoms].tolist()
         cuts = np.searchsorted(owner, np.arange(members.size + 1)).tolist()
         atoms = atoms.tolist()
-        for pos, (i, g_i, cols_i, steps, later) in enumerate(zip(
-                members.tolist(), g.tolist(), cols.tolist(), iterations.tolist(),
-                unsolved.tolist())):
+        for pos, (i, g_i, cols_i, steps) in enumerate(zip(
+                members.tolist(), g.tolist(), cols.tolist(), iterations.tolist())):
             lo, hi = cuts[pos], cuts[pos + 1]
             support = tuple(zip(atoms[lo:hi], weights[lo:hi]))
             if len(support) > bound:
                 raise ConvergenceError(
                     f"support size {len(support)} exceeds the core-set bound {bound}")
-            # an unsolved design copies its own rows, not the chunk's stack
             designs[i] = DesignDistribution(
                 support=support,
                 design_matrix=g_mat[pos],
                 retained_columns=tuple(cols_i),
                 iterations=steps,
-                _g_value=None if later else g_i,
-                _g_history=None if later else tuple(history[pos]),
-                _rows_t=red_t[pos].copy() if later else None,
+                g_value=g_i,
+                g_history=tuple(history[pos]),
             )
     return designs
 

@@ -94,6 +94,7 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
         raise ValidationError("design elimination requires a noiseless instance")
     d, s = instance.d, instance.s
     check_subset_guard(d, s)
+    start = len(ledger)
     subsets = subsets_of_size(d, s)
     eps = instance.epsilon
     kill_thr = eps * (1.0 + math.sqrt(2.0 * s))
@@ -108,7 +109,7 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
         thetas = estimate_parameter(instance, blocks, frank_wolfe_designs(blocks), ledger)
         np.matmul(blocks, thetas[:, :, None], out=preds[lo:hi, :, None])
         estimates.update(zip(subsets[lo:hi], thetas))
-    phase1_queries = len(ledger)
+    phase1_queries = len(ledger) - start
 
     # each search resumes at the last primary and, while it lives, past its
     # last rival: every alive subset before the primary has no gap, every
@@ -154,7 +155,7 @@ def run_design_elimination(instance: BanditInstance, ledger: QueryLedger) -> Des
     return DesignElimResult(
         index_set=index_set,
         theta_hat=theta_hat,
-        queries=len(ledger),
+        queries=len(ledger) - start,
         phase1_queries=phase1_queries,
         estimates=estimates,
         subsets=subsets,

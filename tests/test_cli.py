@@ -530,16 +530,27 @@ def _unopenable(tmp_path, case):
         return ["run", str(cfg)], str(missing)
     if case == "validate a missing file":
         return ["validate", str(missing)], str(missing)
+    # the key's line is 6, after the base's five, or 7 after an output line
     if case in ("output", "log_output"):
         folder = missing / "deeper"
         cfg = write_config(tmp_path, base + (out if case == "log_output" else "")
                            + f"{case} {folder / 'x.csv'}\n")
-        return ["run", str(cfg)], str(folder)
+        line = 7 if case == "log_output" else 6
+        return ["run", str(cfg)], (f"{cfg}:{line}: bad value for {case!r}: "
+                                   f"no directory {str(folder)!r}")
     if case in ("output is a directory", "log_output is a directory"):
         key = case.split()[0]
         cfg = write_config(tmp_path, base + (out if key == "log_output" else "")
                            + f"{key} {tmp_path}\n")
-        return ["run", str(cfg)], f"{str(tmp_path)!r} is a directory"
+        line = 7 if key == "log_output" else 6
+        return ["run", str(cfg)], (f"{cfg}:{line}: bad value for {key!r}: "
+                                   f"{str(tmp_path)!r} is a directory")
+    if case == "default output is a directory":
+        # the test runs in tmp_path, where the CSV goes with no output key
+        (tmp_path / "experiment.csv").mkdir()
+        cfg = write_config(tmp_path, base)
+        return ["run", str(cfg)], (f"{cfg}: bad value for 'output': "
+                                   "'experiment.csv' is a directory")
     if case == "generate-hard into a missing directory":
         cfg = write_config(tmp_path, "algorithm random-baseline\nsource hard-instance\n"
                                      "d 64\ns 8\nepsilon 0.5\nk 3\ntau 0.95\nseeds 0\n")
@@ -561,13 +572,15 @@ def _unopenable(tmp_path, case):
     ("missing config", 1), ("config is a directory", 1), ("missing instance_file", 1),
     ("validate a missing file", 1), ("output", 1), ("log_output", 1),
     ("output is a directory", 1), ("log_output is a directory", 1),
-    ("generate-hard into a missing directory", 1), ("non-UTF-8 config", 1),
-    ("non-UTF-8 instance file", 3)])
-def test_a_path_that_cannot_be_opened_ends_in_one_line(tmp_path, capsys, ledger_records,
-                                                       case, code):
+    ("default output is a directory", 1), ("generate-hard into a missing directory", 1),
+    ("non-UTF-8 config", 1), ("non-UTF-8 instance file", 3)])
+def test_a_path_that_cannot_be_opened_ends_in_one_line(tmp_path, monkeypatch, capsys,
+                                                       ledger_records, case, code):
     """Each exits 1 with one stderr line naming the path and the reason and
     before any query, except a non-UTF-8 instance file, which is malformed
-    and so an invariant failure, like its other parse errors."""
+    and so an invariant failure, like its other parse errors. A config
+    names the line of the key at fault, or none for a defaulted key."""
+    monkeypatch.chdir(tmp_path)
     argv, named = _unopenable(tmp_path, case)
     capsys.readouterr()
     assert main(argv) == code

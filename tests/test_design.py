@@ -478,7 +478,7 @@ def unmargined_start_g(block):
 def test_near_target_blocks_are_solved():
     """A block whose start leverage sits within rounding of 2r is left to
     the solve, which alone decides whether it steps; certified blocks skip
-    it and read the same g-value on demand."""
+    it and carry a bound on the g-value it would return."""
     blocks, start = near_target_blocks()
     assert min(start) <= 4.0 < max(start) and max(start) - min(start) < 1e-12
     # blocks that a certificate with no rounding margin would finish unsolved
@@ -486,22 +486,20 @@ def test_near_target_blocks_are_solved():
     rows, cleared = certified_starts(blocks)
     assert cleared.all() and (rows == [0, 1]).all()
     red_t = np.ascontiguousarray(np.stack(blocks).transpose(0, 2, 1))
-    assert not design_mod._meets_target_at_start(red_t, rows).any()
+    assert np.isinf(design_mod._meets_target_at_start(red_t, rows)).all()
     designs = frank_wolfe_designs(np.stack(blocks))
     for design, g0 in zip(designs, start):
         assert design.g_history[0] == g0
         assert (design.iterations == 0) == (g0 <= 4.0)
-    # the same rows away from the boundary are cleared and read the same g
+    # the same rows away from the boundary are cleared, with a bound on g
     far = [np.vstack([block[:2], 0.5 * block[2:]]) for block in blocks[:8]]
     red_t = np.ascontiguousarray(np.stack(far).transpose(0, 2, 1))
-    assert design_mod._meets_target_at_start(red_t, rows[:8]).all()
+    assert (design_mod._meets_target_at_start(red_t, rows[:8]) < 4.0).all()
     fast = frank_wolfe_designs(np.stack(far))
     for design, block in zip(fast, far):
-        assert design._rows_t is not None and design._rows_t.base is None
         alone = frank_wolfe_design(block)
         assert design.iterations == 0
-        assert design.g_value == alone.g_value and design.g_history == alone.g_history
-        assert design._rows_t is None
+        assert alone.g_value <= design.g_value < 4.0
     # ill-conditioned starts straddling the target: none is cleared
     for k in (103, 501):
         blocks = ill_conditioned_near_target_blocks(k)
@@ -510,12 +508,13 @@ def test_near_target_blocks_are_solved():
         rows, cleared = certified_starts(blocks)
         assert cleared.all() and (rows == [0, 1]).all()
         red_t = np.ascontiguousarray(np.stack(blocks).transpose(0, 2, 1))
-        assert not design_mod._meets_target_at_start(red_t, rows).any()
+        assert np.isinf(design_mod._meets_target_at_start(red_t, rows)).all()
 
 
 def test_certified_designs_match_the_solved_start(monkeypatch):
     """Blocks the target certificate clears get bitwise the design of the
-    step-0 solve, near-target blocks too, r from 1 to 4."""
+    step-0 solve, but for their g-value, near-target blocks too, r from 1
+    to 4."""
     blocks, _ = near_target_blocks()
     rng = np.random.default_rng(43)
     stacks = [np.stack(blocks)] + [np.stack([random_rows(rng, 12, r) for _ in range(16)])
@@ -523,11 +522,52 @@ def test_certified_designs_match_the_solved_start(monkeypatch):
     stacks += [np.stack(same) for blocks in near_tie_blocks().values()
                for same in by_shape(blocks)]
     got = [frank_wolfe_designs(stack) for stack in stacks]
-    monkeypatch.setattr(design_mod, "_meets_target_at_start",
-                        lambda red_t, start: np.zeros(len(red_t), dtype=bool))
+    monkeypatch.setattr(design_mod, "_meets_target_at_start", certifies_nothing)
     for stack, designs in zip(stacks, got):
         for design, want in zip(designs, frank_wolfe_designs(stack)):
             assert_same_design(design, want)
+
+
+def certifies_nothing(red_t, start):
+    """A start-target certificate that sends every block to the solve."""
+    return np.full(len(red_t), np.inf)
+
+
+def benchmark_chunks():
+    """The subset_chunks of design elimination at (40, 2, 500), seeds 0-2,
+    and of collect_representatives at (d, k) = (8, 40), (12, 48) and
+    (14, 56), seed 0: the stacks the benchmark designs."""
+    instances = [random_sparse_instance(40, 2, 500, 0.1, seed) for seed in range(3)]
+    instances += [random_sparse_instance(d, 2, k, 0.05, 0)
+                  for d, k in ((8, 40), (12, 48), (14, 56))]
+    for instance in instances:
+        subsets = subsets_of_size(instance.d, 2)
+        for _, blocks in subset_chunks(instance.features.matrix, subsets):
+            yield blocks
+
+
+def test_certified_designs_carry_their_bound(monkeypatch):
+    """Every benchmark design finishes on the start-target certificate: its
+    g-value is its block's bound, at least the g-value the step-0 solve
+    gives it and below 2r, and its history is that one value."""
+    chunks = list(benchmark_chunks())
+    got = [frank_wolfe_designs(blocks) for blocks in chunks]
+    bounds = []
+    for blocks in chunks:
+        red_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
+        rows, cleared = design_mod._certified_start_rows(red_t)
+        assert cleared.all()
+        bounds.append(design_mod._meets_target_at_start(red_t, rows))
+    monkeypatch.setattr(design_mod, "_meets_target_at_start", certifies_nothing)
+    count = 0
+    for blocks, designs, bound in zip(chunks, got, bounds):
+        assert [design.g_value for design in designs] == bound.tolist()
+        for design, want in zip(designs, frank_wolfe_designs(blocks)):
+            assert design.iterations == want.iterations == 0
+            assert design.g_history == (design.g_value,)
+            assert want.g_value <= design.g_value < 4.0
+        count += len(designs)
+    assert count == 3 * 780 + 28 + 66 + 91
 
 
 def test_benchmark_runs_fall_back_nowhere(monkeypatch):
@@ -590,13 +630,18 @@ def test_designs_are_byte_identical_to_the_golden_digest():
 
 
 def assert_same_design(got, want):
+    """Bitwise the same design, but that a design the start target
+    certified carries that certificate's bound on want's solved g-value."""
     assert got.support == want.support
     assert got.design_matrix.shape == want.design_matrix.shape
     assert np.array_equal(got.design_matrix, want.design_matrix)
-    assert got.g_value == want.g_value
     assert got.retained_columns == want.retained_columns
-    assert got.g_history == want.g_history
     assert got.iterations == want.iterations
+    if got.g_value == want.g_value:
+        assert got.g_history == want.g_history
+    else:
+        assert got.iterations == 0 and got.g_history == (got.g_value,)
+        assert want.g_value <= got.g_value < 2 * len(got.retained_columns)
 
 
 def assert_stacks_match_single_blocks(blocks):

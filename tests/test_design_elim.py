@@ -131,6 +131,19 @@ def test_phase_two_progress():
     assert res.queries - res.phase1_queries <= math.comb(5, 2)
 
 
+def test_a_shared_ledger_counts_only_the_runs_own_queries():
+    """A run on a ledger that already holds entries reports the queries it
+    added, in total and in phase 1, as a run on a fresh ledger does."""
+    inst = random_sparse_instance(6, 2, 40, 0.1, seed=0)
+    ledger = QueryLedger()
+    first = run_design_elimination(inst, ledger)
+    second = run_design_elimination(inst, ledger)
+    assert (first.queries, first.phase1_queries) == (40, 30)
+    assert (second.queries, second.phase1_queries) == (40, 30)
+    assert len(ledger) == 80
+    assert ledger.entries[40:] == ledger.entries[:40]
+
+
 def test_determinism():
     inst = random_sparse_instance(5, 2, 18, 0.08, seed=9)
     r1 = run_design_elimination(inst, QueryLedger())

@@ -1,12 +1,14 @@
-"""The benchmark's trace hooks still name functions of the package, the
-benchmark script reaches the package only through public names and in fresh
-processes, and pairs its runs; the test oracles import nothing from the
-package, each entry point loads only the slice of scipy it calls, and the
-config grammar's documentation matches the reader's table."""
+"""The benchmark's trace hooks still name functions of the package and its
+observers count on small runs of every learner, the benchmark script
+reaches the package only through public names and in fresh processes, and
+pairs its runs; the test oracles import nothing from the package, each
+entry point loads only the slice of scipy it calls, and the config
+grammar's documentation matches the reader's table."""
 
 import ast
 import importlib.util
 import json
+import math
 import re
 import subprocess
 import sys
@@ -14,7 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from sparsebandit import cli
+from sparsebandit import (
+    QueryLedger,
+    cli,
+    compressed_elim,
+    compression,
+    random_sparse_instance,
+)
+from sparsebandit.compression import choose_target_dim
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -23,20 +32,57 @@ HELPERS = ROOT / "tests" / "helpers.py"
 SRC = ROOT / "src"
 
 
+def load_by_path(monkeypatch, name, path):
+    """The module at path, loaded as name with no bytecode written beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_hook_targets_resolve(monkeypatch):
     """Every hook target the traced benchmark patches is a callable module
     attribute; a renamed function fails here instead of dropping its layer
     from a traced run. spans.py is loaded by path and no bytecode is written
     beside it."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+    spans = load_by_path(monkeypatch, "perfbench_spans", SPANS)
     assert len(spans.HOOKS) > 0
     for hook in spans.HOOKS:
         _, _, target = spans._resolve(hook.target)
         assert callable(target), hook.target
+
+
+# a counter of each layer whose observer reads a learner's arguments or result
+OBSERVED = ("net.pool_points", "param_elim.tensor_mb", "param_elim.scan_calls",
+            "design_elim.elim_queries", "design.fw_iterations", "design.support_rows",
+            "compressed_elim.rounds", "compressed_elim.queries",
+            "sparse_recovery.psi_rows")
+
+
+def test_benchmark_observers_count_on_small_runs(tmp_path, monkeypatch):
+    """Every counter of the traced benchmark is fed on one small run of each
+    learner, through the CLI and the compressed stage's entry points: an
+    observer that fails drops its layer with a note instead of failing the
+    run, so a renamed result attribute shows here."""
+    spans = load_by_path(monkeypatch, "perfbench_spans", SPANS)
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        for algorithm in ("param-elim", "design-elim", "general-features"):
+            cfg = tmp_path / f"{algorithm}.cfg"
+            cfg.write_text(f"algorithm {algorithm}\nd 4\ns 1\nepsilon 0.5\nk 8\n"
+                           f"seeds 0\noutput {tmp_path / algorithm}.csv\n")
+            assert cli.main(["run", str(cfg)]) == 0
+        d, s, k, eps = 10, 2, 40, 0.1
+        instance = random_sparse_instance(d, s, k, eps, 0, basis_probes=False)
+        upsilon = math.log(k) ** 0.25 * math.sqrt(eps)
+        cmap = compression.find_certified_map(
+            d, choose_target_dim(k, upsilon, d), instance.features.matrix,
+            instance.theta_star.coords, upsilon)
+        compressed_elim.run_benign_elimination(instance, cmap, 200, QueryLedger())
+    assert tracer.notes == [] and tracer.missing_layers == set()
+    assert [name for name in OBSERVED if name not in tracer.counts] == []
 
 
 def test_benchmark_script_uses_only_public_names():
@@ -83,12 +129,7 @@ def test_benchmark_script_imports_neither_numpy_nor_the_package():
 
 
 def load_bench(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench", BENCH)
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)
-    spec.loader.exec_module(bench)
-    return bench
+    return load_by_path(monkeypatch, "bench", BENCH)
 
 
 def test_benchmark_pairs_alternate_which_side_runs_first(monkeypatch):
